@@ -25,35 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fqlin import echelon_subspaces
-from .valuations import _is_prime
+from .valuations import _is_prime, vp
 
 EDGE_HEIGHT_SIGN = 1
 
 
-def _vp(x: Fraction, p: int):
-    """p-adic valuation of a rational; None for 0."""
-    if x == 0:
-        return None
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
 def _unit_parts(x: Fraction, p: int):
     """x = p^v * (num/den) with num, den coprime to p; returns (v, num, den)."""
-    v = _vp(x, p)
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-    while den % p == 0:
-        den //= p
-    return v, num, den
+    v = vp(x, p)
+    u = x / Fraction(p) ** v
+    return v, u.numerator, u.denominator
 
 
 def _canonical_residue(x: Fraction, p: int, a: int) -> Fraction:
@@ -95,7 +76,7 @@ class Lattice:
         for row in range(n - 1, -1, -1):
             best = None
             for idx, c in enumerate(cols):
-                v = _vp(c[row], p)
+                v = vp(c[row], p)
                 if v is not None and (best is None or v < cols_v):
                     best, cols_v = idx, v
             if best is None:
@@ -110,7 +91,7 @@ class Lattice:
                         c[r] -= t * pivot[r]
             placed[row] = pivot
         # reduce entries above each pivot to canonical residues
-        pivot_exp = [_vp(placed[j][j], p) for j in range(n)]
+        pivot_exp = [vp(placed[j][j], p) for j in range(n)]
         for j in range(n):
             for i in range(j - 1, -1, -1):
                 e = placed[j][i]
@@ -122,7 +103,7 @@ class Lattice:
 
     @property
     def pivot_exponents(self):
-        return tuple(_vp(self.cols[j][j], self.p) for j in range(self.n))
+        return tuple(vp(self.cols[j][j], self.p) for j in range(self.n))
 
     @property
     def det_val(self) -> int:
@@ -150,7 +131,7 @@ class Lattice:
 
     def contains(self, other: "Lattice") -> bool:
         for col in other.cols:
-            if any(_vp(x, self.p) is not None and _vp(x, self.p) < 0
+            if any(vp(x, self.p) is not None and vp(x, self.p) < 0
                    for x in self.solve_coords(col)):
                 return False
         return True

@@ -39,6 +39,7 @@ from .fqlin import (
 )
 from .hecke import canonical_quotient
 from .polygon import NewtonPolygon, gh_boundary_polygon
+from .valuations import vp
 
 
 class LevelError(ValueError):
@@ -95,22 +96,7 @@ def full_flags(cell: Cell):
 
 
 def _vp_min(matrix_rows, p: int):
-    best = None
-    for row in matrix_rows:
-        for x in row:
-            if x == 0:
-                continue
-            v = 0
-            num, den = x.numerator, x.denominator
-            while num % p == 0:
-                num //= p
-                v += 1
-            while den % p == 0:
-                den //= p
-                v -= 1
-            if best is None or v < best:
-                best = v
-    return best
+    return min((vp(x, p) for row in matrix_rows for x in row if x != 0), default=None)
 
 
 def _coords_matrix(target: Lattice, source: Lattice):
@@ -337,7 +323,8 @@ def integral_generators(n: int, i: int):
     out = []
     for k in range(1, top + 1):
         e_k = -((-k * n) // (n - i))  # ceil
-        assert e_k * (n - i) - k * n >= 0
+        if e_k * (n - i) - k * n < 0:
+            raise RuntimeError(f"generator ({e_k}, {k}) has negative valuation")
         out.append((e_k, k))
     return out
 

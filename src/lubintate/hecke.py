@@ -188,7 +188,8 @@ def canonical_quotient(poly: NewtonPolygon, i: int) -> IsogenyStep:
     new_poly = _polygon_from_value_multiset(n, q, values)
     # conservation: the image profile carries total mass 1 by construction
     mass = sum(v * m for v, m in values)
-    assert mass == 1, mass
+    if mass != 1:
+        raise RuntimeError(f"isogeny step image carries mass {mass}, not 1")
     return IsogenyStep(i, poly, new_poly, tuple(kernel), values)
 
 

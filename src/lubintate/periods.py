@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import SeriesMatrix, TruncSeries
-from .valuations import INF, LaurentCoeff, RamifiedRing, Val
+from .valuations import INF, LaurentCoeff, RamifiedRing, Val, prime_power_split
 
 
 def default_coeff_ring(p: int = 2, N: int = 16) -> RamifiedRing:
@@ -30,22 +30,13 @@ def default_coeff_ring(p: int = 2, N: int = 16) -> RamifiedRing:
     return RamifiedRing(p, 1, N)
 
 
-def _check_q(ring: RamifiedRing, q: int) -> None:
-    rest = q
-    while rest % ring.p == 0:
-        rest //= ring.p
-    if rest != 1 or q < 2:
-        raise ValueError(f"q = {q} is not a power of the ring prime {ring.p}")
-
-
 def _ring_for(ring: RamifiedRing | None, q: int) -> RamifiedRing:
     """Default coefficient ring at the prime dividing q."""
+    p, _ = prime_power_split(q)
     if ring is None:
-        if q < 2:
-            raise ValueError("q must be a prime power >= 2")
-        p = next(c for c in range(2, q + 1) if q % c == 0)
-        ring = default_coeff_ring(p)
-    _check_q(ring, q)
+        return default_coeff_ring(p)
+    if ring.p != p:
+        raise ValueError(f"q = {q} is not a power of the ring prime {ring.p}")
     return ring
 
 

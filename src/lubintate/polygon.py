@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .valuations import Val
+from .valuations import Val, prime_power_split
 
 
 def _as_val(v) -> Val:
@@ -32,8 +32,9 @@ class NewtonPolygon:
     __slots__ = ("n", "q", "slopes", "vertex_vals")
 
     def __init__(self, n: int, q: int, slopes):
-        if n < 1 or q < 2:
-            raise ValueError("need n >= 1 and q >= 2")
+        if n < 1:
+            raise ValueError("need n >= 1")
+        prime_power_split(q)
         slopes = tuple(s if isinstance(s, Fraction) else Fraction(s) for s in slopes)
         if len(slopes) != n:
             raise ValueError("need exactly n slopes")

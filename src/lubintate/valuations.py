@@ -44,6 +44,32 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def vp(x, p: int):
+    """p-adic valuation of a rational (int or Fraction); None for 0."""
+    if x == 0:
+        return None
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def prime_power_split(q: int):
+    """q = p^f with p prime; returns (p, f) or raises ValueError."""
+    if q < 2:
+        raise ValueError("q must be a prime power >= 2")
+    p = next(c for c in range(2, q + 1) if q % c == 0)
+    f = vp(q, p)
+    if p ** f != q:
+        raise ValueError(f"{q} is not a prime power")
+    return p, f
+
+
 class Val:
     """A valuation value: an exact rational or INF.
 

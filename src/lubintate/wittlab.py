@@ -1,15 +1,24 @@
 """Ramified Witt vectors, divided-power logarithms, and Dieudonne slopes.
 
 The structure polynomials for W_O (coefficient ring O with uniformizer pi
-and residue field F_q, q = p^f) are solved symbolically from the ghost
-components gh_i(x) = sum_j pi^j x_j^(q^(i-j)).  Over a torsion-free ring
-the ghost map is injective, so every operator identity below (sum, product,
-Frobenius, Verschiebung, Teichmueller) is certified by expanding the ghost
-images.  Integrality of the solved polynomials cannot be read off term by
-term (distinct pi-powers of one monomial can be non-integral separately yet
-integral combined once pi^e = p); it is certified per monomial by reducing
-the Laurent coefficient in pi modulo pi^e = p for each small ramification
-index e and checking the resulting valuation.
+and residue field F_q, q = p^f) are solved from the ghost components
+gh_i(x) = sum_j pi^j x_j^(q^(i-j)) by triangular back substitution.  A
+polynomial is a dict {(pi_exp, mono): c}: pi_exp is an integer, possibly
+negative, mono is a name-sorted tuple of (variable name, exponent >= 1)
+pairs and c is a nonzero int (a Fraction only for rational scalars).
+Ghost solving divides only by powers of pi, which shifts pi_exp, so the
+coefficients stay integers.  The helpers below return new dicts and drop
+zero coefficients, so two polynomials are equal exactly when their dicts
+are.
+
+Over a torsion-free ring the ghost map is injective, so every operator
+identity below (sum, product, Frobenius, Verschiebung, Teichmueller) is
+certified by comparing ghost images.  Integrality of the solved
+polynomials cannot be read off term by term (distinct pi-powers of one
+monomial can be non-integral separately yet integral combined once
+pi^e = p); it is certified per monomial by folding the Laurent coefficient
+in pi under pi^e = p for each small ramification index e and checking the
+resulting valuation.
 
 The divided-power side: an ideal J with an operation gamma satisfying
 pi*gamma(x) = x^q, gamma(ax) = a^q gamma(x), and the binomial addition rule
@@ -24,43 +33,101 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
-import sympy as sp
+from .valuations import prime_power_split, vp
+
+def _var(name: str) -> dict:
+    return {(0, ((name, 1),)): 1}
 
 
-def prime_power_split(q: int):
-    """q = p^f with p prime; returns (p, f) or raises."""
-    if q < 2:
-        raise ValueError("q must be a prime power >= 2")
-    p = None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    f = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        f += 1
-    if rest != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, f
+def _collect(items) -> dict:
+    """Sum (term, coefficient) pairs into a polynomial, dropping zeros."""
+    out: dict = {}
+    for t, c in items:
+        out[t] = out.get(t, 0) + c
+    return {t: c for t, c in out.items() if c}
 
 
-def _vp(x: Fraction, p: int) -> int:
-    if x == 0:
-        raise ValueError("valuation of zero")
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+def _add(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign*b."""
+    return _collect(itertools.chain(a.items(), ((t, sign * c) for t, c in b.items())))
+
+
+def _mono_mul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return a or b
+    powers = dict(a)
+    for name, e in b:
+        powers[name] = powers.get(name, 0) + e
+    return tuple(sorted(powers.items()))
+
+
+def _mul(a: dict, b: dict) -> dict:
+    return _collect(((ka + kb, _mono_mul(ma, mb)), ca * cb)
+                    for (ka, ma), ca in a.items() for (kb, mb), cb in b.items())
+
+
+def _pow(a: dict, n: int) -> dict:
+    out = {(0, ()): 1}
+    for _ in range(n):
+        out = _mul(out, a)
+    return out
+
+
+def _shift(a: dict, k: int) -> dict:
+    """pi^k * a."""
+    return {(e + k, mono): c for (e, mono), c in a.items()}
+
+
+def _subs(poly: dict, env: dict) -> dict:
+    """Substitute env[name] (a polynomial) for every variable of poly."""
+    terms = []
+    for (k, mono), c in poly.items():
+        term = {(k, ()): c}
+        for name, e in mono:
+            term = _mul(term, _pow(env[name], e))
+        terms.extend(term.items())
+    return _collect(terms)
+
+
+def _fmt(poly: dict) -> str:
+    """sympy-parsable text; terms by descending pi exponent, then monomial."""
+    parts = []
+    for (k, mono), c in sorted(poly.items(), key=lambda t: (-t[0][0], t[0][1])):
+        factors = [name if e == 1 else f"{name}**{e}" for name, e in mono]
+        if k > 0:
+            factors.append("pi" if k == 1 else f"pi**{k}")
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        text = "*".join(factors)
+        if k < 0:
+            text += "/pi" if k == -1 else f"/pi**{-k}"
+        if parts:
+            parts.append(f"- {text}" if c < 0 else f"+ {text}")
+        else:
+            parts.append(f"-{text}" if c < 0 else text)
+    return " ".join(parts) or "0"
+
+
+def _fold(poly: dict, p: int, e: int) -> dict:
+    """{mono: {r: a_r}}: each Laurent coefficient folded under pi^e = p.
+
+    pi^k = p^m * pi^r with k = m*e + r and 0 <= r < e; zero slots drop.
+    """
+    out: dict = {}
+    for (k, mono), c in poly.items():
+        m, r = divmod(k, e)
+        slots = out.setdefault(mono, {})
+        slots[r] = slots.get(r, 0) + c * Fraction(p) ** m
+    return {mono: {r: a for r, a in slots.items() if a} for mono, slots in out.items()}
+
+
+def _ghost(vec, q: int, i: int) -> dict:
+    out: dict = {}
+    for j in range(i + 1):
+        out = _add(out, _shift(_pow(vec[j], q ** (i - j)), j))
+    return out
 
 
 @dataclass(frozen=True)
@@ -71,68 +138,36 @@ class WittLaw:
     q: int
     p: int
     f: int
-    pi: sp.Symbol
-    xs: tuple
+    xs: tuple          # variable names
     ys: tuple
-    ws: tuple          # N+1 symbols, domain of Frobenius
+    ws: tuple          # N+1 names, domain of Frobenius
     sum_polys: tuple
     prod_polys: tuple
     frob_polys: tuple  # length N, F_i in w_0 .. w_{i+1}
 
-    def ghost(self, vec, i: int):
-        return sp.expand(
-            sum(self.pi ** j * vec[j] ** (self.q ** (i - j)) for j in range(i + 1))
-        )
+    def ghost(self, vec, i: int) -> dict:
+        return _ghost(vec, self.q, i)
 
 
-def _solve_from_ghosts(pi, q, targets, vec_len):
+def _solve_from_ghosts(q: int, targets):
     """Components z with ghost_i(z) = targets[i], solved triangularly."""
     out = []
-    for i in range(vec_len):
-        rhs = targets[i] - sum(
-            pi ** j * out[j] ** (q ** (i - j)) for j in range(i)
-        )
-        out.append(sp.expand(sp.expand(rhs) * pi ** (-i)))
+    for i, target in enumerate(targets):
+        lower = _ghost(out + [{}], q, i)
+        out.append(_shift(_add(target, lower, -1), -i))
     return out
 
 
-@lru_cache(maxsize=None)
 def witt_structure_polys(N: int, q: int) -> WittLaw:
     p, f = prime_power_split(q)
-    pi = sp.Symbol("pi")
-    xs = sp.symbols(f"x0:{N}")
-    ys = sp.symbols(f"y0:{N}")
-    ws = sp.symbols(f"w0:{N + 1}")
-
-    def gh(vec, i):
-        return sum(pi ** j * vec[j] ** (q ** (i - j)) for j in range(i + 1))
-
-    sums = _solve_from_ghosts(pi, q, [gh(xs, i) + gh(ys, i) for i in range(N)], N)
-    prods = _solve_from_ghosts(pi, q, [gh(xs, i) * gh(ys, i) for i in range(N)], N)
-    frobs = _solve_from_ghosts(pi, q, [gh(ws, i + 1) for i in range(N)], N)
-    return WittLaw(N, q, p, f, pi, tuple(xs), tuple(ys), tuple(ws),
-                   tuple(sums), tuple(prods), tuple(frobs))
-
-
-def _terms(expr):
-    """Yield (Fraction coefficient, pi exponent, {symbol: exponent})."""
-    for term in sp.Add.make_args(sp.expand(expr)):
-        coeff, rest = term.as_coeff_Mul()
-        c = Fraction(int(sp.numer(coeff)), int(sp.denom(coeff)))
-        k = 0
-        powers = {}
-        for base, exp in rest.as_powers_dict().items():
-            if base.is_Symbol and base.name == "pi":
-                k = int(exp)
-            elif base.is_Symbol:
-                if int(exp) < 1:
-                    raise ValueError(f"negative power of {base} in term {term}")
-                powers[base.name] = int(exp)
-            elif base == 1:
-                continue
-            else:
-                raise ValueError(f"unexpected factor {base} in term {term}")
-        yield c, k, powers
+    xs, ys, ws = (tuple(f"{c}{i}" for i in range(n))
+                  for c, n in (("x", N), ("y", N), ("w", N + 1)))
+    X, Y, W = ([_var(name) for name in names] for names in (xs, ys, ws))
+    gx, gy = ([_ghost(vec, q, i) for i in range(N)] for vec in (X, Y))
+    sums = _solve_from_ghosts(q, [_add(a, b) for a, b in zip(gx, gy)])
+    prods = _solve_from_ghosts(q, [_mul(a, b) for a, b in zip(gx, gy)])
+    frobs = _solve_from_ghosts(q, [_ghost(W, q, i + 1) for i in range(N)])
+    return WittLaw(N, q, p, f, xs, ys, ws, tuple(sums), tuple(prods), tuple(frobs))
 
 
 def check_o_integrality(law: WittLaw, ram_indices=(1, 2, 3, 4, 5, 6)) -> bool:
@@ -142,84 +177,56 @@ def check_o_integrality(law: WittLaw, ram_indices=(1, 2, 3, 4, 5, 6)) -> bool:
     sum_k c_k * pi^k.  Termwise v_p(c_k) >= -k is too strong: the N = 3
     addition law contains -6*pi^-2 - 4*pi^-3 on x0^2*y0^2, integral for
     every ramification index only in combination.  So for each e in
-    ram_indices the coefficient is reduced via pi^e = p into slots
-    a_0..a_{e-1} (pi^k = p^m * pi^r with k = m*e + r), and integrality
-    means min over nonzero slots of e*v_p(a_r) + r >= 0.  No cancellation
-    hides across slots since their pi-exponents differ mod e.
+    ram_indices the coefficient is folded via pi^e = p into slots
+    a_0..a_{e-1}, and integrality means min over nonzero slots of
+    e*v_p(a_r) + r >= 0.  No cancellation hides across slots since their
+    pi-exponents differ mod e.
     """
     for poly in law.sum_polys + law.prod_polys + law.frob_polys:
-        per_mono: dict = {}
-        for c, k, powers in _terms(poly):
-            if c == 0:
-                continue
-            key = tuple(sorted(powers.items()))
-            per_mono.setdefault(key, {})
-            per_mono[key][k] = per_mono[key].get(k, 0) + c
-        for coeffs in per_mono.values():
-            for e in ram_indices:
-                slots: dict = {}
-                for k, c in coeffs.items():
-                    m, r = divmod(k, e)
-                    slots[r] = slots.get(r, 0) + c * Fraction(law.p) ** m
-                vals = [e * _vp(a, law.p) + r for r, a in slots.items() if a != 0]
-                if vals and min(vals) < 0:
+        for e in ram_indices:
+            for slots in _fold(poly, law.p, e).values():
+                if any(e * vp(a, law.p) + r < 0 for r, a in slots.items()):
                     return False
     return True
 
 
 def verify_ghost_homomorphism(law: WittLaw) -> bool:
     """Ghost images of the solved polynomials match sum/product of ghosts."""
+    X, Y, W = ([_var(name) for name in names] for names in (law.xs, law.ys, law.ws))
     for i in range(law.N):
-        gs = law.ghost(law.sum_polys, i)
-        if sp.expand(gs - law.ghost(law.xs, i) - law.ghost(law.ys, i)) != 0:
+        gx, gy = law.ghost(X, i), law.ghost(Y, i)
+        if law.ghost(law.sum_polys, i) != _add(gx, gy):
             return False
-        gp = law.ghost(law.prod_polys, i)
-        if sp.expand(gp - law.ghost(law.xs, i) * law.ghost(law.ys, i)) != 0:
+        if law.ghost(law.prod_polys, i) != _mul(gx, gy):
             return False
-        gf = law.ghost(law.frob_polys, i)
-        target = sum(
-            law.pi ** j * law.ws[j] ** (law.q ** (i + 1 - j)) for j in range(i + 2)
-        )
-        if sp.expand(gf - target) != 0:
+        if law.ghost(law.frob_polys, i) != law.ghost(W, i + 1):
             return False
     return True
 
 
-def _subs_many(polys, mapping):
-    return tuple(sp.expand(poly.subs(mapping, simultaneous=True)) for poly in polys)
-
-
-def witt_add(law: WittLaw, a, b):
-    m = {law.xs[i]: a[i] for i in range(law.N)}
-    m.update({law.ys[i]: b[i] for i in range(law.N)})
-    return _subs_many(law.sum_polys, m)
-
-
 def witt_mul(law: WittLaw, a, b):
-    m = {law.xs[i]: a[i] for i in range(law.N)}
-    m.update({law.ys[i]: b[i] for i in range(law.N)})
-    return _subs_many(law.prod_polys, m)
+    env = dict(zip(law.xs, a)) | dict(zip(law.ys, b))
+    return tuple(_subs(poly, env) for poly in law.prod_polys)
 
 
 def witt_frobenius(law: WittLaw, w):
     """F on a length-(N+1) vector, producing length N."""
-    m = {law.ws[i]: w[i] for i in range(law.N + 1)}
-    return _subs_many(law.frob_polys, m)
+    env = dict(zip(law.ws, w))
+    return tuple(_subs(poly, env) for poly in law.frob_polys)
 
 
 def verschiebung(w):
-    return (sp.Integer(0),) + tuple(w)
+    return ({},) + tuple(w)
 
 
 def teichmueller(law: WittLaw, a):
-    return (a,) + (sp.Integer(0),) * (law.N - 1)
+    return (a,) + ({},) * (law.N - 1)
 
 
-def const_witt(law: WittLaw, c, length: int | None = None):
-    """The Witt vector with every ghost component equal to c."""
+def const_witt(law: WittLaw, c: dict, length: int | None = None):
+    """The Witt vector with every ghost component equal to the polynomial c."""
     n = law.N if length is None else length
-    pi, q = law.pi, law.q
-    return tuple(_solve_from_ghosts(pi, q, [sp.sympify(c)] * n, n))
+    return tuple(_solve_from_ghosts(law.q, [c] * n))
 
 
 def verify_fv_is_pi(law: WittLaw) -> bool:
@@ -228,30 +235,23 @@ def verify_fv_is_pi(law: WittLaw) -> bool:
     Only this composition order is an identity: V(F(w)) differs from pi*w
     already over torsion-free rings.
     """
-    w = sp.symbols(f"v0:{law.N}")  # colon form always yields a tuple
+    w = [_var(f"v{i}") for i in range(law.N)]
     fv = witt_frobenius(law, verschiebung(w))
-    pi_scalar = const_witt(law, law.pi)
-    m = {law.xs[i]: pi_scalar[i] for i in range(law.N)}
-    m.update({law.ys[i]: w[i] for i in range(law.N)})
-    pw = _subs_many(law.prod_polys, m)
-    return all(sp.expand(fv[i] - pw[i]) == 0 for i in range(law.N))
+    return fv == witt_mul(law, const_witt(law, {(1, ()): 1}), w)
 
 
 def verify_teichmueller_mult(law: WittLaw) -> bool:
-    a, b = sp.symbols("tei_a tei_b")
+    a, b = _var("tei_a"), _var("tei_b")
     prod = witt_mul(law, teichmueller(law, a), teichmueller(law, b))
-    want = teichmueller(law, a * b)
-    return all(sp.expand(prod[i] - want[i]) == 0 for i in range(law.N))
+    return prod == teichmueller(law, _mul(a, b))
 
 
 def verify_teichmueller_scale(law: WittLaw) -> bool:
     """[a] * w has components a^(q^i) * w_i."""
-    a = sp.Symbol("tei_a")
-    prod = witt_mul(law, teichmueller(law, a), law.ys)
-    return all(
-        sp.expand(prod[i] - a ** (law.q ** i) * law.ys[i]) == 0
-        for i in range(law.N)
-    )
+    a = _var("tei_a")
+    ys = [_var(name) for name in law.ys]
+    prod = witt_mul(law, teichmueller(law, a), ys)
+    return all(prod[i] == _mul(_pow(a, law.q ** i), ys[i]) for i in range(law.N))
 
 
 # ---------------------------------------------------------------------
@@ -296,9 +296,9 @@ class DualNumbers:
         val = Fraction(c) * Fraction(self.p) ** k
         if val == 0:
             return self.zero
-        if _vp(val, self.p) < 0:
+        if vp(val, self.p) < 0:
             raise ValueError("not O-integral")
-        if _vp(val, self.p) >= 1:
+        if vp(val, self.p) >= 1:
             return self.zero
         num, den = val.numerator, val.denominator
         return ((num * pow(den, -1, self.p)) % self.p, 0)
@@ -353,7 +353,7 @@ class RamifiedNilpotents:
         c = Fraction(c)
         if c == 0:
             return self.zero
-        a = _vp(c, 2)
+        a = vp(c, 2)
         exp = 4 * a + k  # 2 maps to s^4 = 0, pi to s
         if exp < 0:
             raise ValueError("not O-integral")
@@ -398,7 +398,7 @@ class LocalIntegers:
         return a == b
 
     def in_J(self, a):
-        return a == 0 or _vp(a, self.p) >= 1
+        return a == 0 or vp(a, self.p) >= 1
 
     def gamma(self, a):
         if not self.in_J(a):
@@ -488,30 +488,18 @@ def exp_opd(ring, comps):
 def eval_expr(expr, ring, env):
     """Evaluate a structure polynomial on ring elements.
 
-    env maps symbol names to ring elements.  The Laurent coefficient of a
+    env maps variable names to ring elements.  The Laurent coefficient of a
     monomial is folded under the ring's pi^e = p relation before it goes
     through ring.o_image: individual terms of an integral coefficient can
     be non-integral on their own (the N = 3 addition law has such terms),
     so mapping termwise would raise spuriously.
     """
-    per_mono: dict = {}
-    for c, k, powers in _terms(expr):
-        if c == 0:
-            continue
-        key = tuple(sorted(powers.items()))
-        per_mono.setdefault(key, {})
-        per_mono[key][k] = per_mono[key].get(k, 0) + c
     total = ring.zero
-    for key, coeffs in per_mono.items():
-        slots: dict = {}
-        for k, c in coeffs.items():
-            m, r = divmod(k, ring.e)
-            slots[r] = slots.get(r, 0) + Fraction(c) * Fraction(ring.p) ** m
+    for mono, slots in _fold(expr, ring.p, ring.e).items():
         elem = ring.zero
         for r, a in sorted(slots.items()):
-            if a != 0:
-                elem = ring.add(elem, ring.o_image(a, r))
-        for name, exp in key:
+            elem = ring.add(elem, ring.o_image(a, r))
+        for name, exp in mono:
             for _ in range(exp):
                 elem = ring.mul(elem, env[name])
         total = ring.add(total, elem)
@@ -520,20 +508,16 @@ def eval_expr(expr, ring, env):
 
 def eval_witt_op(law: WittLaw, polys, ring, x_elems=None, y_elems=None, w_elems=None):
     env = {}
-    if x_elems is not None:
-        env.update({law.xs[i].name: x_elems[i] for i in range(len(x_elems))})
-    if y_elems is not None:
-        env.update({law.ys[i].name: y_elems[i] for i in range(len(y_elems))})
-    if w_elems is not None:
-        env.update({law.ws[i].name: w_elems[i] for i in range(len(w_elems))})
+    for names, elems in ((law.xs, x_elems), (law.ys, y_elems), (law.ws, w_elems)):
+        if elems is not None:
+            env.update(zip(names, elems))
     return tuple(eval_expr(poly, ring, env) for poly in polys)
 
 
 def scalar_witt_elems(law: WittLaw, ring, c: Fraction):
     """Images of const_witt(c) components in the model ring."""
-    comps = const_witt(law, sp.Rational(c.numerator, c.denominator))
-    env = {}
-    return tuple(eval_expr(comp, ring, env) for comp in comps)
+    comps = const_witt(law, {(0, ()): Fraction(c)})
+    return tuple(eval_expr(comp, ring, {}) for comp in comps)
 
 
 def alternating_inverse(ring, op, x, bound: int = 64):
@@ -579,7 +563,7 @@ def _smith_vp(rows, p: int):
         for i in range(size):
             for j in range(size):
                 if m[i][j] != 0:
-                    v = _vp(m[i][j], p)
+                    v = vp(m[i][j], p)
                     if best is None or v < best[0]:
                         best = (v, i, j)
         if best is None:
@@ -672,9 +656,10 @@ def dieudonne_O(p: int, blocks, e: int = 1) -> DieudonneReport:
     phi = tuple(tuple(scale * x for x in row) for row in prod)
     # pi*M <= phi_O(M): with phi_O = pi*phi this is Smith(phi) <= 0, which
     # follows from per-block V-integrality (p*F^-1 integral multiplies up).
-    assert max(_smith_vp([list(r) for r in phi], p)) <= 0
+    if max(_smith_vp([list(r) for r in phi], p)) > 0:
+        raise RuntimeError("phi_O violates the Smith bound pi*M <= phi_O(M)")
     det = _det(phi)
-    slope = (Fraction(d, e) + Fraction(_vp(det, p))) / d
+    slope = (Fraction(d, e) + Fraction(vp(det, p))) / d
     if not 0 <= slope <= 1:
         raise ValueError(f"slope {slope} outside [0, 1]")
     return DieudonneReport(

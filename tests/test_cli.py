@@ -130,6 +130,18 @@ def test_domain_error_exits_one(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:")
+    code = main(["polygon", "--n", "2", "--q", "6", "--vals", "1/2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: 6 is not a prime power\n"
+
+
+@pytest.mark.parametrize("max_n", ("0", "-1"))
+def test_witt_selftest_rejects_max_n_below_one(capsys, max_n):
+    code = main(["witt", "selftest", "--max-n", max_n])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: --max-n must be >= 1")
 
 
 def test_usage_error_exits_two():

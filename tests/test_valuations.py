@@ -10,7 +10,9 @@ from lubintate.valuations import (
     RamifiedRing,
     Val,
     parse_val,
+    prime_power_split,
     valuation_of,
+    vp,
 )
 
 
@@ -37,6 +39,22 @@ def test_val_json_and_parse():
     assert parse_val("3/4") == Val(Fraction(3, 4))
     assert parse_val("inf").is_inf
     assert parse_val("-2") == Val(Fraction(-2))
+
+
+def test_vp():
+    assert vp(0, 2) is None
+    assert vp(12, 2) == 2 and vp(7, 2) == 0
+    assert vp(Fraction(9, 8), 2) == -3 and vp(Fraction(9, 8), 3) == 2
+
+
+def test_prime_power_split():
+    assert prime_power_split(8) == (2, 3)
+    assert prime_power_split(3) == (3, 1)
+    assert prime_power_split(9) == (3, 2)
+    with pytest.raises(ValueError):
+        prime_power_split(6)
+    with pytest.raises(ValueError):
+        prime_power_split(1)
 
 
 def test_ring_requires_prime():

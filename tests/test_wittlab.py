@@ -1,12 +1,18 @@
 """Ramified Witt laws, divided-power model rings, Dieudonne slope data."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
-import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lubintate import wittlab as W
+from lubintate.cli import main
 from lubintate.wittlab import (
     DualNumbers,
     LocalIntegers,
@@ -21,7 +27,6 @@ from lubintate.wittlab import (
     exp_opd,
     log_opd,
     opd_axioms_hold,
-    prime_power_split,
     scalar_witt_elems,
     teichmueller,
     verify_fv_is_pi,
@@ -35,23 +40,17 @@ from lubintate.wittlab import (
 ALL_RINGS = [DualNumbers(2), DualNumbers(3), RamifiedNilpotents(), LocalIntegers(2), LocalIntegers(3)]
 
 
-def test_prime_power_split():
-    assert prime_power_split(8) == (2, 3)
-    assert prime_power_split(3) == (3, 1)
-    assert prime_power_split(9) == (3, 2)
-    with pytest.raises(ValueError):
-        prime_power_split(6)
-    with pytest.raises(ValueError):
-        prime_power_split(1)
+def var(name):
+    return {(0, ((name, 1),)): 1}
 
 
 def test_structure_polys_low_degrees():
     law = witt_structure_polys(3, 2)
-    x0, x1, y0, y1 = law.xs[0], law.xs[1], law.ys[0], law.ys[1]
-    assert sp.expand(law.sum_polys[0] - (x0 + y0)) == 0
-    assert sp.expand(law.prod_polys[0] - x0 * y0) == 0
+    x0y0 = (("x0", 1), ("y0", 1))
+    assert law.sum_polys[0] == var("x0") | var("y0")
+    assert law.prod_polys[0] == {(0, x0y0): 1}
     # the first carry: S_1 = x1 + y1 - (2/pi) x0 y0
-    assert sp.expand(law.sum_polys[1] - (x1 + y1 - 2 * x0 * y0 / law.pi)) == 0
+    assert law.sum_polys[1] == var("x1") | var("y1") | {(-1, x0y0): -2}
 
 
 def test_ghost_homomorphism_and_integrality():
@@ -71,10 +70,9 @@ def test_fv_and_teichmueller_identities():
 
 def test_const_witt_has_constant_ghosts():
     law = witt_structure_polys(3, 2)
-    c = sp.Symbol("c")
-    comps = const_witt(law, c)
+    comps = const_witt(law, var("c"))
     for i in range(3):
-        assert sp.expand(law.ghost(comps, i) - c) == 0
+        assert law.ghost(comps, i) == var("c")
 
 
 def test_opd_axioms_on_model_rings():
@@ -147,8 +145,8 @@ def test_log_of_verschiebung_is_shift():
             lw = log_opd(ring, w)
             assert ring.eq(lvw[0], ring.zero)
             assert all(ring.eq(lvw[i + 1], lw[i]) for i in range(3))
-    # symbolic form as well
-    assert verschiebung((1, 2)) == (sp.Integer(0), 1, 2)
+    # polynomial form as well: V prepends the zero polynomial
+    assert verschiebung((var("a"), var("b"))) == ({}, var("a"), var("b"))
 
 
 def test_log_of_teichmueller_product_scales_by_powers():
@@ -185,8 +183,7 @@ def test_log_of_scalar_product_is_scalar():
 
 def test_teichmueller_symbolic_shape():
     law = witt_structure_polys(3, 2)
-    a = sp.Symbol("a")
-    assert teichmueller(law, a) == (a, sp.Integer(0), sp.Integer(0))
+    assert teichmueller(law, var("a")) == (var("a"), {}, {})
 
 
 def test_alternating_inverse_on_nilpotents():
@@ -238,3 +235,94 @@ def test_dieudonne_rejections():
         dieudonne_O(2, [[(1,)], [(1,)]])
     with pytest.raises(ValueError, match="at least one"):
         dieudonne_O(2, [])
+
+
+# ---------------------------------------------------------------------
+# oracles for the dict representation
+# ---------------------------------------------------------------------
+
+def _printed_laws(capsys, N, q):
+    """{"S_0": text, ...} as `witt selftest` prints them."""
+    assert main(["witt", "selftest", "--max-n", str(N), "--q", str(q)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return dict(line.strip().split(" = ") for line in lines if line.startswith("  "))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_printed_laws_match_sympy_reference(capsys, q):
+    sp = pytest.importorskip("sympy")
+    pi = sp.Symbol("pi")
+    xs, ys, ws = sp.symbols("x0:3"), sp.symbols("y0:3"), sp.symbols("w0:4")
+
+    def gh(vec, i):
+        return sum(pi ** j * vec[j] ** (q ** (i - j)) for j in range(i + 1))
+
+    def solve(targets):
+        out = []
+        for i, target in enumerate(targets):
+            out.append(sp.expand((target - gh(out + [0], i)) / pi ** i))
+        return out
+
+    want = {}
+    for tag, targets in (("S", [gh(xs, i) + gh(ys, i) for i in range(3)]),
+                         ("P", [gh(xs, i) * gh(ys, i) for i in range(3)]),
+                         ("F", [gh(ws, i + 1) for i in range(3)])):
+        want.update((f"{tag}_{i}", poly) for i, poly in enumerate(solve(targets)))
+    for N in (1, 2, 3):
+        printed = _printed_laws(capsys, N, q)
+        assert printed.keys() == {t for t in want if int(t[2:]) < N}
+        for tag, text in printed.items():
+            got = sp.sympify(text, locals={"pi": pi})
+            assert sp.expand(got - want[tag]) == 0, (N, q, tag, text)
+
+
+@cache
+def _law(N, q):
+    return witt_structure_polys(N, q)
+
+
+def _at_p(poly, p, env):
+    """Value of a structure polynomial at pi = p on rational inputs."""
+    total = Fraction(0)
+    for (k, mono), c in poly.items():
+        term = c * Fraction(p) ** k
+        for name, e in mono:
+            term *= env[name] ** e
+        total += term
+    return total
+
+
+def _gh(vec, p, q, i):
+    return sum(p ** j * vec[j] ** (q ** (i - j)) for j in range(i + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from((2, 3, 4)), N=st.integers(1, 3), data=st.data())
+def test_laws_at_pi_equal_p_are_integral_ghost_maps(q, N, data):
+    law = _law(N, q)
+    p = law.p
+
+    def vector(n):
+        return data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+
+    x, y, w = vector(N), vector(N), vector(N + 1)
+    env = dict(zip(law.xs, x)) | dict(zip(law.ys, y)) | dict(zip(law.ws, w))
+    s, m, f = ([_at_p(poly, p, env) for poly in polys]
+               for polys in (law.sum_polys, law.prod_polys, law.frob_polys))
+    assert all(v.denominator == 1 for v in s + m + f)
+    for i in range(N):
+        assert _gh(s, p, q, i) == _gh(x, p, q, i) + _gh(y, p, q, i)
+        assert _gh(m, p, q, i) == _gh(x, p, q, i) * _gh(y, p, q, i)
+        assert _gh(f, p, q, i) == _gh(w, p, q, i + 1)
+
+
+def test_cli_import_does_not_load_sympy():
+    import lubintate
+
+    src = Path(lubintate.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, lubintate.cli; print('sympy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "False"
