@@ -130,11 +130,11 @@ class Lattice:
         return coords
 
     def contains(self, other: "Lattice") -> bool:
-        for col in other.cols:
-            if any(vp(x, self.p) is not None and vp(x, self.p) < 0
-                   for x in self.solve_coords(col)):
-                return False
-        return True
+        return all(
+            (vp(x, self.p) or 0) >= 0
+            for col in other.cols
+            for x in self.solve_coords(col)
+        )
 
     def quotient_dim(self, sub: "Lattice") -> int:
         """dim_{F_p}(self / sub) for sub contained in self with p*self ⊆ sub."""

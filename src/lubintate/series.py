@@ -9,6 +9,8 @@ over one shared RamifiedRing.  Zero coefficients are never stored.
 
 from __future__ import annotations
 
+from operator import add
+
 from .valuations import LaurentCoeff, RamifiedRing
 
 
@@ -41,6 +43,13 @@ class TruncSeries:
                     continue
             clean[exps] = c
         self.coeffs = clean
+
+    @classmethod
+    def _clean(cls, ring, nvars, cap, coeffs) -> "TruncSeries":
+        """Wrap coeffs that already satisfy the invariants, without re-checking."""
+        out = object.__new__(cls)
+        out.ring, out.nvars, out.cap, out.coeffs = ring, nvars, cap, coeffs
+        return out
 
     # ---- constructors -------------------------------------------------
 
@@ -108,10 +117,10 @@ class TruncSeries:
                     out[exps] = s
             else:
                 out[exps] = c
-        return TruncSeries(self.ring, self.nvars, self.cap, out)
+        return TruncSeries._clean(self.ring, self.nvars, self.cap, out)
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(
+        return TruncSeries._clean(
             self.ring, self.nvars, self.cap,
             {e: -c for e, c in self.coeffs.items()},
         )
@@ -125,8 +134,8 @@ class TruncSeries:
         out = {}
         for ea, ca in self.coeffs.items():
             for eb, cb in other.coeffs.items():
-                exps = tuple(a + b for a, b in zip(ea, eb))
-                if any(e >= cap for e in exps):
+                exps = tuple(map(add, ea, eb))
+                if max(exps) >= cap:
                     continue
                 c = ca * cb
                 if exps in out:
@@ -135,15 +144,12 @@ class TruncSeries:
                     out.pop(exps, None)
                 else:
                     out[exps] = c
-        return TruncSeries(self.ring, self.nvars, self.cap, out)
+        return TruncSeries._clean(self.ring, self.nvars, self.cap, out)
 
     def scale(self, coeff: LaurentCoeff) -> "TruncSeries":
-        if coeff.is_zero:
-            return TruncSeries.zero(self.ring, self.nvars, self.cap)
-        return TruncSeries(
-            self.ring, self.nvars, self.cap,
-            {e: c * coeff for e, c in self.coeffs.items()},
-        )
+        # a product of unit parts can still vanish at precision N = 1
+        out = {e: d for e, c in self.coeffs.items() if not (d := c * coeff).is_zero}
+        return TruncSeries._clean(self.ring, self.nvars, self.cap, out)
 
     def mul_pi_power(self, e: int) -> "TruncSeries":
         return self.scale(LaurentCoeff.pi_power(self.ring, e))
@@ -196,7 +202,7 @@ class TruncSeries:
                     del out[new]
                     continue
             out[new] = c
-        return TruncSeries(self.ring, self.nvars, self.cap, out)
+        return TruncSeries._clean(self.ring, self.nvars, self.cap, out)
 
     def to_json_dict(self):
         terms = []

@@ -1,15 +1,19 @@
 """Exact rational valuations and truncated tamely ramified p-adic coefficients.
 
 The coefficient rings are the rings of integers of Q_p(p^(1/m)), truncated
-at precision p^N.  An element is a vector of m*N base-p digits in the
-uniformizer u, with the relation u^m = p held exactly: carries from digit
-slot k land in slot k+m.  The valuation is normalized by v(p) = 1, so
-v(u) = 1/m and every finite valuation of a ring element lies in (1/m)Z.
+at precision p^N: O = (Z/p^N)[u]/(u^m - p).  An element is the tuple of
+its m coordinates a_0, ..., a_(m-1) in the basis 1, u, ..., u^(m-1), each
+an integer in [0, p^N).  Products fold u^m = p back into the basis.  The
+valuation is normalized by v(p) = 1, so v(u) = 1/m and
+v(sum a_r u^r) = min_r (m v_p(a_r) + r) / m lies in (1/m)Z.
 
-A vector of all zeros means "zero to working precision"; its valuation is
-INF and the below-precision flag is set rather than raising.
+The u-adic digit expansion is an I/O format only: digit slot j*m + r is
+the j-th base-p digit of a_r (`from_digits`, `digit_string`).
 
-Division by pi never widens digit vectors.  `LaurentCoeff` keeps a unit part
+Zero means "zero to working precision"; its valuation is INF and the
+below-precision flag is set rather than raising.
+
+Division by pi never widens the precision.  `LaurentCoeff` keeps a unit part
 together with an integer power of pi, so series coefficients like pi^(-2)*u
 stay exact.  Renormalization after cancellation trusts the digits above the
 cancelled range, so precision N should be chosen with headroom over the
@@ -163,11 +167,11 @@ def parse_val(text: str) -> Val:
 class RamifiedRing:
     """O_F for F = Q_p(u), u^m = p, truncated at precision p^N.
 
-    Elements carry m*N digits; arithmetic is exact modulo p^N.  Rings with
-    equal (p, m, N) compare equal and their elements interoperate.
+    Elements are m integers mod p^N; arithmetic is exact modulo p^N.  Rings
+    with equal (p, m, N) compare equal and their elements interoperate.
     """
 
-    __slots__ = ("p", "m", "N", "ndigits")
+    __slots__ = ("p", "m", "N", "mod")
 
     def __init__(self, p: int, m: int = 1, N: int = 20):
         if not _is_prime(p):
@@ -177,7 +181,7 @@ class RamifiedRing:
         self.p = p
         self.m = m
         self.N = N
-        self.ndigits = m * N
+        self.mod = p ** N
 
     def __eq__(self, other) -> bool:
         return (
@@ -192,122 +196,107 @@ class RamifiedRing:
         return f"RamifiedRing(p={self.p}, m={self.m}, N={self.N})"
 
     def from_digits(self, digits) -> "RamifiedElement":
-        digits = tuple(int(d) for d in digits)
-        if len(digits) > self.ndigits:
-            digits = digits[: self.ndigits]
-        if len(digits) < self.ndigits:
-            digits = digits + (0,) * (self.ndigits - len(digits))
+        """Digit k of the u-adic expansion is digit k // m of a_(k % m)."""
+        digits = tuple(int(d) for d in digits)[: self.m * self.N]
         if any(d < 0 or d >= self.p for d in digits):
             raise ValueError("digits out of range")
-        return RamifiedElement(self, digits)
+        return RamifiedElement(self, tuple(
+            sum(d * self.p ** j for j, d in enumerate(digits[r:: self.m]))
+            for r in range(self.m)
+        ))
 
     def zero(self) -> "RamifiedElement":
-        return RamifiedElement(self, (0,) * self.ndigits)
+        return RamifiedElement(self, (0,) * self.m)
 
     def one(self) -> "RamifiedElement":
         return self.from_int(1)
 
     def from_int(self, a: int) -> "RamifiedElement":
-        """Base-p expansion of a mod p^N into digit slots 0, m, 2m, ..."""
-        a %= self.p ** self.N
-        digits = [0] * self.ndigits
-        for j in range(self.N):
-            a, digits[j * self.m] = divmod(a, self.p)[0], a % self.p
-        return RamifiedElement(self, tuple(digits))
+        return RamifiedElement(self, (a % self.mod,) + (0,) * (self.m - 1))
 
     def from_rational(self, x) -> "RamifiedElement":
         x = Fraction(x)
         num, den = x.numerator, x.denominator
         if den % self.p == 0:
             raise ValueError("denominator not prime to p; use LaurentCoeff")
-        inv = pow(den, -1, self.p ** self.N)
-        return self.from_int(num * inv)
+        return self.from_int(num * pow(den, -1, self.mod))
 
     def uniformizer(self, k: int = 1) -> "RamifiedElement":
-        """u^k for 0 <= k; zero once k reaches the digit length."""
+        """u^k for 0 <= k; zero once k reaches m*N."""
         if k < 0:
             raise ValueError("negative uniformizer powers live in LaurentCoeff")
-        digits = [0] * self.ndigits
-        if k < self.ndigits:
-            digits[k] = 1
-        return RamifiedElement(self, tuple(digits))
-
-    def reduce_ring(self, N2: int) -> "RamifiedRing":
-        if N2 > self.N or N2 < 1:
-            raise ValueError("can only reduce to 1 <= N' <= N")
-        return RamifiedRing(self.p, self.m, N2)
+        return self.one().shift_up(k)
 
 
 class RamifiedElement:
-    """Digit vector in a RamifiedRing.  Immutable; arithmetic via operators."""
+    """a_0 + a_1 u + ... + a_(m-1) u^(m-1), each a_r in [0, p^N); immutable."""
 
-    __slots__ = ("ring", "digits")
+    __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: RamifiedRing, digits: tuple):
+    def __init__(self, ring: RamifiedRing, coeffs: tuple):
         self.ring = ring
-        self.digits = digits
+        self.coeffs = coeffs
 
     def _check(self, other) -> "RamifiedElement":
         if not isinstance(other, RamifiedElement):
             raise TypeError("expected a RamifiedElement")
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise ValueError("elements from different rings (p, m, N must match)")
         return other
 
     @property
     def is_zero(self) -> bool:
-        return all(d == 0 for d in self.digits)
+        return not any(self.coeffs)
 
     @property
     def below_precision(self) -> bool:
         """True when the element is indistinguishable from 0 at precision N."""
         return self.is_zero
 
+    def u_valuation(self):
+        """min_r(m * v_p(a_r) + r): the valuation in units of 1/m; None for 0."""
+        m, p = self.ring.m, self.ring.p
+        if self.coeffs[0] % p:
+            return 0
+        return min((m * vp(a, p) + r for r, a in enumerate(self.coeffs) if a), default=None)
+
     def valuation(self) -> Val:
-        for k, d in enumerate(self.digits):
-            if d:
-                return Val(Fraction(k, self.ring.m))
-        return Val(INF)
+        k = self.u_valuation()
+        return Val(INF) if k is None else Val(Fraction(k, self.ring.m))
 
     def valuation_report(self):
         """(valuation, below_precision flag)."""
         v = self.valuation()
         return v, v.is_inf
 
-    def _carry(self, work) -> "RamifiedElement":
-        # u^m = p exactly: overflow in slot k moves to slot k+m
-        R = self.ring
-        n = len(work)
-        for k in range(n):
-            c, work[k] = divmod(work[k], R.p)
-            if c and k + R.m < n:
-                work[k + R.m] += c
-        return RamifiedElement(R, tuple(work[: R.ndigits]))
-
     def __add__(self, other) -> "RamifiedElement":
         other = self._check(other)
-        work = [a + b for a, b in zip(self.digits, other.digits)] + [0] * self.ring.m
-        return self._carry(work)
+        mod = self.ring.mod
+        return RamifiedElement(
+            self.ring, tuple((a + b) % mod for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "RamifiedElement":
-        work = [-d for d in self.digits] + [0] * self.ring.m
-        return self._carry(work)
+        mod = self.ring.mod
+        return RamifiedElement(self.ring, tuple(-a % mod for a in self.coeffs))
 
     def __sub__(self, other) -> "RamifiedElement":
         other = self._check(other)
-        work = [a - b for a, b in zip(self.digits, other.digits)] + [0] * self.ring.m
-        return self._carry(work)
+        mod = self.ring.mod
+        return RamifiedElement(
+            self.ring, tuple((a - b) % mod for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other) -> "RamifiedElement":
         other = self._check(other)
-        n = self.ring.ndigits
-        work = [0] * (2 * n + self.ring.m)
-        for i, a in enumerate(self.digits):
+        R = self.ring
+        m = R.m
+        work = [0] * (2 * m)
+        for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.digits):
-                    if b and i + j < n:
-                        work[i + j] += a * b
-        return self._carry(work)
+                for j, b in enumerate(other.coeffs):
+                    work[i + j] += a * b
+        # u^m = p folds u^(r+m) onto p u^r
+        return RamifiedElement(
+            R, tuple((work[r] + R.p * work[r + m]) % R.mod for r in range(m)))
 
     def __pow__(self, e: int) -> "RamifiedElement":
         if e < 0:
@@ -323,46 +312,56 @@ class RamifiedElement:
 
     def inverse(self) -> "RamifiedElement":
         """Unit inverse by Newton iteration b <- b(2 - ab); needs v(a) = 0."""
-        if self.digits and self.digits[0] == 0:
-            raise ValueError("not a unit: valuation is positive (or infinite)")
         R = self.ring
-        b = R.from_int(pow(self.digits[0], -1, R.p))
+        if self.coeffs[0] % R.p == 0:
+            raise ValueError("not a unit: valuation is positive (or infinite)")
+        b = R.from_int(pow(self.coeffs[0], -1, R.p))
         two = R.from_int(2)
         one = R.one()
-        for _ in range(R.ndigits.bit_length() + 2):
-            if (self * b) == one:
+        # the error 1 - ab has valuation >= 1/m and doubles each step
+        for _ in range((R.m * R.N).bit_length() + 2):
+            ab = self * b
+            if ab == one:
                 return b
-            b = b * (two - self * b)
-        if (self * b) == one:
-            return b
+            b = b * (two - ab)
         raise ArithmeticError("inverse iteration failed to converge")
 
-    def reduce(self, N2: int) -> "RamifiedElement":
-        R2 = self.ring.reduce_ring(N2)
-        return RamifiedElement(R2, self.digits[: R2.ndigits])
-
     def shift_up(self, k: int) -> "RamifiedElement":
-        """Multiply by u^k (k >= 0); digits past precision fall off."""
+        """Multiply by u^k = p^(k // m) u^(k % m) (k >= 0); overflow falls off."""
         if k < 0:
             raise ValueError("shift_up needs k >= 0")
-        n = self.ring.ndigits
-        digits = (0,) * min(k, n) + self.digits[: max(n - k, 0)]
-        return RamifiedElement(self.ring, digits[:n])
+        if k == 0:
+            return self
+        R = self.ring
+        t, s = divmod(k, R.m)
+        a = self.coeffs
+        if s:
+            a = tuple(R.p * x for x in a[R.m - s:]) + a[: R.m - s]
+        scale = pow(R.p, t, R.mod)
+        return RamifiedElement(R, tuple(x * scale % R.mod for x in a))
 
     def shift_down_exact(self, k: int) -> "RamifiedElement":
-        """Divide by u^k; the k lowest digits must vanish (exact division)."""
+        """Divide by u^k; the valuation must be at least k/m (exact division)."""
         if k < 0:
             raise ValueError("shift_down_exact needs k >= 0")
-        if any(self.digits[:k]):
+        v = self.u_valuation()
+        if v is None:
+            return self
+        if v < k:
             raise ValueError("inexact division by u^k")
-        digits = self.digits[k:] + (0,) * k
-        return RamifiedElement(self.ring, digits)
+        R = self.ring
+        t, s = divmod(k, R.m)
+        pt = R.p ** t
+        a = tuple(x // pt for x in self.coeffs)
+        if s:
+            a = a[s:] + tuple(x // R.p for x in a[:s])
+        return RamifiedElement(R, a)
 
     def integer_lift(self) -> int:
         """For m = 1: the canonical integer representative in [0, p^N)."""
         if self.ring.m != 1:
             raise ValueError("integer_lift is only defined for unramified rings")
-        return sum(d * self.ring.p ** k for k, d in enumerate(self.digits))
+        return self.coeffs[0]
 
     def embed(self, target: RamifiedRing) -> "RamifiedElement":
         """Embed an m = 1 element into a ring with the same p.
@@ -376,37 +375,35 @@ class RamifiedElement:
             raise ValueError("embedding requires equal residue characteristic")
         if target.N > self.ring.N:
             raise ValueError("target precision exceeds source precision")
-        return target.from_int(self.integer_lift())
+        return target.from_int(self.coeffs[0])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RamifiedElement)
             and self.ring == other.ring
-            and self.digits == other.digits
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.ring, self.digits))
+        return hash((self.ring, self.coeffs))
 
     def __repr__(self) -> str:
         R = self.ring
-        terms = []
-        for k, d in enumerate(self.digits):
-            if d == 0:
-                continue
-            if k == 0:
-                terms.append(str(d))
-            else:
-                base = "p" if R.m == 1 else "u"
-                exp = k if R.m == 1 else k
-                coef = "" if d == 1 else f"{d}*"
-                terms.append(f"{coef}{base}^{exp}" if exp != 1 else f"{coef}{base}")
-        body = " + ".join(terms) if terms else "0"
-        return f"<{body} | p={R.p}, m={R.m}, N={R.N}>"
+        terms = [f"{a}*u^{r}" if r else f"{a}" for r, a in enumerate(self.coeffs) if a]
+        return f"<{' + '.join(terms) or '0'} | p={R.p}, m={R.m}, N={R.N}>"
 
     def digit_string(self) -> str:
-        """Canonical comma-joined digit list with trailing zeros stripped."""
-        digits = list(self.digits)
+        """Comma-joined u-adic digits with trailing zeros stripped.
+
+        Slot j*m + r holds the j-th base-p digit of a_r.
+        """
+        p = self.ring.p
+        coeffs = list(self.coeffs)
+        digits = []
+        while any(coeffs):
+            for r, a in enumerate(coeffs):
+                coeffs[r], d = divmod(a, p)
+                digits.append(d)
         while digits and digits[-1] == 0:
             digits.pop()
         return ",".join(str(d) for d in digits)
@@ -418,10 +415,10 @@ def valuation_of(a: RamifiedElement) -> Val:
 
 
 class LaurentCoeff:
-    """unit * pi^e with v(unit) in [0, 1/m) (zero has canonical e = 0).
+    """unit * pi^e with v(unit) in [0, 1) (zero has canonical e = 0).
 
     This is the coefficient type for truncated series: negative pi powers
-    are bookkept in `pi_exp`, never by widening digit vectors.  Addition
+    are bookkept in `pi_exp`, never by widening the precision.  Addition
     aligns at the smaller exponent; renormalization pulls full pi powers
     out of the unit part.  Over unramified rings (m = 1) the unit part of
     a nonzero coefficient always has valuation exactly 0.
@@ -430,11 +427,11 @@ class LaurentCoeff:
     __slots__ = ("unit", "pi_exp")
 
     def __init__(self, unit: RamifiedElement, pi_exp: int = 0):
-        if unit.is_zero:
+        k = unit.u_valuation()
+        if k is None:
             self.unit = unit
             self.pi_exp = 0
             return
-        k = next(i for i, d in enumerate(unit.digits) if d)
         t = k // unit.ring.m
         if t:
             unit = unit.shift_down_exact(t * unit.ring.m)
@@ -464,31 +461,23 @@ class LaurentCoeff:
 
     @property
     def is_zero(self) -> bool:
-        return self.unit.is_zero
+        return not any(self.unit.coeffs)
 
-    @property
-    def below_precision(self) -> bool:
-        return self.unit.is_zero
+    below_precision = is_zero
 
     def valuation(self) -> Val:
         if self.is_zero:
             return Val(INF)
         return Val(self.pi_exp) + self.unit.valuation()
 
-    def _align(self, other):
-        e = min(self.pi_exp, other.pi_exp)
-        m = self.ring.m
-        a = self.unit.shift_up((self.pi_exp - e) * m)
-        b = other.unit.shift_up((other.pi_exp - e) * m)
-        return a, b, e
-
     def __add__(self, other) -> "LaurentCoeff":
         if self.is_zero:
             return other
         if other.is_zero:
             return self
-        a, b, e = self._align(other)
-        return LaurentCoeff(a + b, e)
+        lo, hi = (self, other) if self.pi_exp <= other.pi_exp else (other, self)
+        aligned = hi.unit.shift_up((hi.pi_exp - lo.pi_exp) * lo.ring.m)
+        return LaurentCoeff(lo.unit + aligned, lo.pi_exp)
 
     def __neg__(self) -> "LaurentCoeff":
         return LaurentCoeff(-self.unit, self.pi_exp)

@@ -1,5 +1,6 @@
 """Command line surface: worked examples, formats, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -65,6 +66,19 @@ def test_periods_checks(capsys):
     assert d["cf2"]["cross_check"] is True
     assert d["cf2"]["convention"] == "pi*f0/f1"
     assert d["cf2"]["x_exp"] == -1
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--n", "3", "--q", "2", "--depth", "4", "--product-check"),
+     "8f94ab5486b12c1c2da5aed3033052bc9f3943fdca0463fd172e176ee6f03032"),
+    (("--n", "2", "--q", "2", "--depth", "3", "--cf2"),
+     "d2f7c7b1dd213d099a10fcb7e954d7a73edd47999a22f37d2704f58ff85912b6"),
+])
+def test_periods_output_is_pinned(capsys, argv, digest):
+    # sha256 of stdout as printed by the digit-vector coefficient kernel
+    code, out = run(capsys, "periods", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_hecke_reduce_worked_example(capsys):

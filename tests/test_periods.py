@@ -95,6 +95,15 @@ def test_evaluate_periods_exact_when_precision_suffices():
     assert v1 == Fraction(1, 2) and not flag1
 
 
+def test_evaluate_periods_pinned_at_ramified_point():
+    # output recorded with the digit-vector coefficient kernel
+    pt = period_series(3, 2, 5, ring=RamifiedRing(2, 1, 40))
+    R = RamifiedRing(2, 4, 40)
+    coords = [R.from_digits([0, 1, 1, 0, 1] * 32), R.from_digits([0, 0, 1, 1, 1, 0, 1] * 23)]
+    text = ";".join(f"{v}{'!' if flag else ''}" for v, flag in evaluate_periods(pt, coords, R))
+    assert text == "-1/4;1/4;-1/4"
+
+
 def test_isomorphism_domain_source_is_H():
     den = 8
     for a in range(1, 3 * den):

@@ -108,3 +108,12 @@ def test_mixed_ring_rejected():
     z = TruncSeries.variable(other, 1, 4, 1)
     with pytest.raises(ValueError):
         _ = x + z
+
+
+def test_scale_drops_products_past_precision():
+    # u * u = p vanishes at N = 1, so no zero coefficient may be stored
+    R = RamifiedRing(2, 2, 1)
+    u = LaurentCoeff(R.uniformizer(1))
+    s = TruncSeries.const(R, 1, 3, u)
+    assert s.scale(u).coeffs == {}
+    assert (s * s).is_zero

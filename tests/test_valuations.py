@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lubintate.valuations import (
     INF,
@@ -138,3 +140,109 @@ def test_laurent_mixed_exponent_addition():
     s = one + three  # 1 + pi = 4 at p = 3
     assert s.pi_exp == 0
     assert s == LaurentCoeff.from_int(R, 4)
+
+
+# ---- property tests: the integer-coded kernel against independent oracles
+
+@st.composite
+def rings(draw, m=st.integers(1, 4)):
+    return RamifiedRing(draw(st.sampled_from((2, 3, 5))), draw(m), draw(st.integers(1, 8)))
+
+
+def elements(R):
+    return st.lists(st.integers(0, R.p - 1), min_size=R.m * R.N, max_size=R.m * R.N).map(
+        R.from_digits)
+
+
+def _digit_vector_op(R, x, y, op):
+    """x op y on u-adic digit vectors, carrying p from slot k to slot k + m."""
+    n = R.m * R.N
+    if op == "*":
+        work = [0] * n
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                if i + j < n:
+                    work[i + j] += a * b
+    else:
+        work = [a + b if op == "+" else a - b for a, b in zip(x, y)]
+    for k in range(n):
+        c, work[k] = divmod(work[k], R.p)
+        if k + R.m < n:
+            work[k + R.m] += c
+    return work
+
+
+def _digits(x):
+    R = x.ring
+    text = x.digit_string()
+    digits = [int(d) for d in text.split(",")] if text else []
+    return digits + [0] * (R.m * R.N - len(digits))
+
+
+@given(R=rings(m=st.just(1)), a=st.integers(-10 ** 6, 10 ** 6), b=st.integers(-10 ** 6, 10 ** 6))
+def test_unramified_matches_integers_mod_pn(R, a, b):
+    mod = R.p ** R.N
+    x, y = R.from_int(a), R.from_int(b)
+    assert x.integer_lift() == a % mod
+    assert (x + y).integer_lift() == (a + b) % mod
+    assert (x - y).integer_lift() == (a - b) % mod
+    assert (x * y).integer_lift() == (a * b) % mod
+    assert (-x).integer_lift() == -a % mod
+    want = vp(a % mod, R.p)
+    assert x.valuation() == (Val(INF) if want is None else Val(want))
+
+
+@given(R=rings(m=st.integers(2, 4)), data=st.data())
+def test_ramified_matches_digit_vector_arithmetic(R, data):
+    x, y = data.draw(elements(R)), data.draw(elements(R))
+    for op, z in (("+", x + y), ("-", x - y), ("*", x * y)):
+        assert _digits(z) == _digit_vector_op(R, _digits(x), _digits(y), op), op
+
+
+@given(R=rings(), data=st.data())
+def test_ring_laws(R, data):
+    x, y, z = (data.draw(elements(R)) for _ in range(3))
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + R.zero() == x and x * R.one() == x and x - x == R.zero()
+    assert x ** 3 == x * x * x
+
+
+@given(R=rings(), data=st.data())
+def test_valuation_is_multiplicative_below_precision(R, data):
+    x, y = data.draw(elements(R)), data.draw(elements(R))
+    v = x.valuation() + y.valuation()
+    if v < Val(R.N):
+        assert (x * y).valuation() == v
+    assert x.valuation() == (Val(INF) if x.is_zero else Val(Fraction(
+        next(k for k, d in enumerate(_digits(x)) if d), R.m)))
+
+
+@given(R=rings(), data=st.data())
+def test_digit_round_trip(R, data):
+    digits = data.draw(st.lists(st.integers(0, R.p - 1), max_size=R.m * R.N))
+    x = R.from_digits(digits)
+    assert _digits(x) == digits + [0] * (R.m * R.N - len(digits))
+    assert R.from_digits(_digits(x)) == x
+
+
+@given(R=rings(), data=st.data())
+def test_shift_down_undoes_shift_up(R, data):
+    x = data.draw(elements(R))
+    width = len(x.digit_string().split(",")) if not x.is_zero else 0
+    k = data.draw(st.integers(0, R.m * R.N - width))
+    y = x.shift_up(k)
+    assert y == x * R.uniformizer(k)
+    assert y.shift_down_exact(k) == x
+    if not x.is_zero:
+        with pytest.raises(ValueError):
+            x.shift_down_exact(x.u_valuation() + 1)
+
+
+@given(R=rings(), data=st.data())
+def test_unit_inverse(R, data):
+    x = data.draw(elements(R))
+    if x.coeffs[0] % R.p == 0:
+        x = x + R.one()
+    assert x * x.inverse() == R.one()
