@@ -6,11 +6,14 @@ algebra uniformizer on the second factor.  We normalize by scaling the
 lattice so its determinant valuation lies in {0, ..., n-1} and adjusting h
 by n per scaling step.
 
-Lattices are held in canonical column Hermite form over Z_(p): upper
-triangular, pivot p^(a_j) in row j of column j, entries above a pivot
-reduced to the canonical residue mod p^(a_j).  Two lattices are equal iff
-their canonical forms are identical tuples, which makes vertex identity,
-BFS balls, and gluing checks exact.
+A lattice is held as a shift k and an integer Hermite form H (Cohen, A
+Course in Computational Algebraic Number Theory, 2.4.2, over Z_(p)):
+Lambda = p^(-k) * span(columns of H), H upper triangular with pivot
+p^(e_j) in row j of column j, entries above pivot i in [0, p^(e_i)), and k
+the least shift that makes H integral.  This form is unique, so two
+lattices are equal iff their (k, H) agree, which makes vertex identity,
+BFS balls, and gluing checks exact integer comparisons.  Scaling by p^t
+changes k alone.
 
 The sign convention for h along an oriented edge b -> c (realized as
 Lambda_b < Lambda_c inside p^(-1) Lambda_b) is h_c = h_b +
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .fqlin import echelon_subspaces
 from .valuations import _is_prime, vp
@@ -30,111 +34,117 @@ from .valuations import _is_prime, vp
 EDGE_HEIGHT_SIGN = 1
 
 
-def _unit_parts(x: Fraction, p: int):
-    """x = p^v * (num/den) with num, den coprime to p; returns (v, num, den)."""
-    v = vp(x, p)
-    u = x / Fraction(p) ** v
-    return v, u.numerator, u.denominator
-
-
-def _canonical_residue(x: Fraction, p: int, a: int) -> Fraction:
-    """Canonical representative of x + p^a Z_(p): p^w * (unit mod p^(a-w))."""
-    if x == 0:
-        return Fraction(0)
-    w, num, den = _unit_parts(x, p)
-    if w >= a:
-        return Fraction(0)
-    mod = p ** (a - w)
-    r = (num * pow(den, -1, mod)) % mod
-    return Fraction(r) * Fraction(p) ** w
-
-
 class Lattice:
-    """Full-rank Z_(p)-lattice in Q^n, canonical Hermite column form."""
+    """Full-rank Z_(p)-lattice p^(-k) * span(H) in Q^n, H in Hermite form.
 
-    __slots__ = ("p", "n", "cols")
+    H is a tuple of n integer columns: column j has the pivot p^(e_j) in
+    row j, entries in [0, p^(e_i)) in the rows i < j and zeros below; some
+    entry of H is a p-adic unit.  `exps` holds the e_j.
+    """
 
-    def __init__(self, p: int, n: int, cols: tuple):
-        # internal: cols assumed canonical; use from_cols to build
+    __slots__ = ("p", "n", "k", "H", "exps")
+
+    def __init__(self, p: int, n: int, k: int, H: tuple, exps: tuple):
+        # internal: (k, H) assumed canonical; use from_cols to build
         self.p = p
         self.n = n
-        self.cols = cols
+        self.k = k
+        self.H = H
+        self.exps = exps
 
     @classmethod
-    def from_cols(cls, p: int, generators) -> "Lattice":
-        """Canonicalize a generating set (>= n rational columns of rank n)."""
+    def from_cols(cls, p: int, generators, shift: int = 0) -> "Lattice":
+        """Canonicalize p^(-shift) * span(generators).
+
+        The generators are >= n columns of ints or Fractions, of rank n.
+        """
         if not _is_prime(p):
             raise ValueError("p must be prime")
-        gens = [[Fraction(x) for x in col] for col in generators]
+        gens = list(generators)
         if not gens:
             raise ValueError("no generators")
         n = len(gens[0])
         if any(len(c) != n for c in gens):
             raise ValueError("ragged generator list")
-        cols = [list(c) for c in gens]
+        # clear denominators: the prime-to-p part of den is a unit of Z_(p)
+        den = lcm(*(x.denominator for c in gens for x in c))
+        cols = [[int(x * den) for x in c] for c in gens]
+        shift += vp(den, p)
         placed = [None] * n
         for row in range(n - 1, -1, -1):
             best = None
             for idx, c in enumerate(cols):
-                v = vp(c[row], p)
-                if v is not None and (best is None or v < cols_v):
-                    best, cols_v = idx, v
+                if c[row]:
+                    v = vp(c[row], p)
+                    if best is None or v < best_v:
+                        best, best_v = idx, v
             if best is None:
                 raise ValueError("generators do not have full rank")
             pivot = cols.pop(best)
-            u = pivot[row] / Fraction(p) ** cols_v
-            pivot = [x / u for x in pivot]
+            x = pivot[row]
             for c in cols:
-                if c[row] != 0:
-                    t = c[row] / pivot[row]
-                    for r in range(n):
-                        c[r] -= t * pivot[r]
+                if c[row]:
+                    g = gcd(x, c[row])
+                    u, w = x // g, c[row] // g  # u is a unit: v(x) <= v(c[row])
+                    for r in range(row + 1):
+                        c[r] = u * c[r] - w * pivot[r]
             placed[row] = pivot
-        # reduce entries above each pivot to canonical residues
-        pivot_exp = [vp(placed[j][j], p) for j in range(n)]
-        for j in range(n):
+        # span(placed) contains p^(sum e) Z_(p)^n: columns may be taken mod p^(sum e)
+        exps = [vp(placed[j][j], p) for j in range(n)]
+        mod = p ** sum(exps)
+        for j, col in enumerate(placed):
+            t = pow(col[j] // p ** exps[j], -1, mod)
+            col[:j] = [t * x % mod for x in col[:j]]
+            col[j] = p ** exps[j]
+        for j, col in enumerate(placed):
             for i in range(j - 1, -1, -1):
-                e = placed[j][i]
-                rep = _canonical_residue(e, p, pivot_exp[i])
-                t = (e - rep) / placed[i][i]
-                for r in range(n):
-                    placed[j][r] -= t * placed[i][r]
-        return cls(p, n, tuple(tuple(c) for c in placed))
+                q = col[i] // placed[i][i]
+                if q:
+                    for r in range(i + 1):
+                        col[r] -= q * placed[i][r]
+        m = vp(gcd(*(x for c in placed for x in c)), p)  # the gcd is p^m
+        H = tuple(tuple(x // p ** m for x in c) for c in placed)
+        return cls(p, n, shift - m, H, tuple(e - m for e in exps))
+
+    @property
+    def cols(self):
+        """The basis p^(-k) H as Fraction columns."""
+        f = Fraction(self.p) ** -self.k
+        return tuple(tuple(x * f for x in c) for c in self.H)
 
     @property
     def pivot_exponents(self):
-        return tuple(vp(self.cols[j][j], self.p) for j in range(self.n))
+        return tuple(e - self.k for e in self.exps)
 
     @property
     def det_val(self) -> int:
-        return sum(self.pivot_exponents)
+        return sum(self.exps) - self.n * self.k
 
-    def scale(self, k: int) -> "Lattice":
-        f = Fraction(self.p) ** k
-        return Lattice(
-            self.p, self.n, tuple(tuple(x * f for x in c) for c in self.cols)
-        )
+    def scale(self, t: int) -> "Lattice":
+        """p^t * Lambda: the same Hermite form under another shift."""
+        return Lattice(self.p, self.n, self.k - t, self.H, self.exps)
 
-    def basis_vectors(self):
-        """Columns as vectors (v[r] = cols[j][r])."""
-        return [list(c) for c in self.cols]
+    def solve_coords(self, vector, shift: int):
+        """Coordinates of p^(-shift) * vector (integers) in the basis p^(-k) H.
 
-    def solve_coords(self, vector):
-        """Coordinates of a vector in the column basis (back substitution)."""
-        v = [Fraction(x) for x in vector]
-        n = self.n
-        coords = [Fraction(0)] * n
+        Returns (E, c) with E >= 0 and c = p^E * coordinates, integers: back
+        substitution is exact on p^(sum e) H^(-1) = adj(H).
+        """
+        p, n, H = self.p, self.n, self.H
+        top = sum(self.exps)
+        big = p ** top
+        c = [0] * n
         for row in range(n - 1, -1, -1):
-            t = (v[row] - sum(self.cols[j][row] * coords[j] for j in range(row + 1, n)))
-            coords[row] = t / self.cols[row][row]
-        return coords
+            t = vector[row] * big - sum(H[j][row] * c[j] for j in range(row + 1, n))
+            c[row] = t // H[row][row]
+        E = top + shift - self.k
+        if E < 0:
+            return 0, [x * p ** -E for x in c]
+        return E, c
 
     def contains(self, other: "Lattice") -> bool:
-        return all(
-            (vp(x, self.p) or 0) >= 0
-            for col in other.cols
-            for x in self.solve_coords(col)
-        )
+        coords = (self.solve_coords(col, other.k) for col in other.H)
+        return all(x % self.p ** E == 0 for E, c in coords for x in c)
 
     def quotient_dim(self, sub: "Lattice") -> int:
         """dim_{F_p}(self / sub) for sub contained in self with p*self ⊆ sub."""
@@ -146,14 +156,14 @@ class Lattice:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Lattice)
-            and (self.p, self.n, self.cols) == (other.p, other.n, other.cols)
+            and (self.p, self.n, self.k, self.H) == (other.p, other.n, other.k, other.H)
         )
 
     def __hash__(self):
-        return hash((self.p, self.n, self.cols))
+        return hash((self.p, self.n, self.k, self.H))
 
     def __repr__(self) -> str:
-        return f"Lattice(p={self.p}, cols={self.cols})"
+        return f"Lattice(p={self.p}, k={self.k}, H={self.H})"
 
     def sort_key(self):
         return tuple(
@@ -195,30 +205,22 @@ def make_vertex(lat_or_gens, h: int, p: int | None = None) -> BuildingVertex:
         if p is None:
             raise ValueError("p required when passing raw generators")
         lat = Lattice.from_cols(p, lat_or_gens)
-    n = lat.n
-    t = lat.det_val // n
-    if t:
-        lat = Lattice.from_cols(lat.p, lat.scale(-t).cols)
-    return BuildingVertex(lat, h + t * n)
+    t = lat.det_val // lat.n
+    return BuildingVertex(lat.scale(-t), h + t * lat.n)
 
 
 def standard_vertex(p: int, n: int, h: int = 0) -> BuildingVertex:
-    cols = [[Fraction(1 if i == j else 0) for i in range(n)] for j in range(n)]
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     return make_vertex(cols, h, p)
 
 
-def _lift_rows(lat: Lattice, rows, scale_exp: int = 0):
-    """Lift F_p row vectors through the basis p^(scale_exp) * cols."""
-    f = Fraction(lat.p) ** scale_exp
-    out = []
+def _lift_gens(lat: Lattice, rows):
+    """Integer generators of p^k (p*Lambda + W), W spanned by lifts of F_p rows."""
+    p, n, H = lat.p, lat.n, lat.H
+    gens = [[p * x for x in col] for col in H]
     for w in rows:
-        vec = [Fraction(0)] * lat.n
-        for k, wk in enumerate(w):
-            if wk:
-                for r in range(lat.n):
-                    vec[r] += wk * lat.cols[k][r] * f
-        out.append(vec)
-    return out
+        gens.append([sum(wk * H[k][r] for k, wk in enumerate(w)) for r in range(n)])
+    return gens
 
 
 def out_edges(a: BuildingVertex):
@@ -228,25 +230,23 @@ def out_edges(a: BuildingVertex):
     h' = h - EDGE_HEIGHT_SIGN * i.
     """
     lat, n, p = a.lat, a.n, a.p
-    scaled = [list(c) for c in lat.scale(1).cols]
     out = []
     for d in range(1, n):
         for rows in echelon_subspaces(n, d, p):
-            gens = scaled + _lift_rows(lat, rows)
+            sub = Lattice.from_cols(p, _lift_gens(lat, rows), lat.k)
             i = n - d
-            out.append((make_vertex(gens, a.h - EDGE_HEIGHT_SIGN * i, p), i))
+            out.append((make_vertex(sub, a.h - EDGE_HEIGHT_SIGN * i), i))
     return out
 
 
 def edges_up(a: BuildingVertex):
     """Edges a -> a'': classes of Lambda + p^(-1) E for E in p^(-1)Lambda/Lambda."""
     lat, n, p = a.lat, a.n, a.p
-    base = [list(c) for c in lat.cols]
     out = []
     for d in range(1, n):
         for rows in echelon_subspaces(n, d, p):
-            gens = base + _lift_rows(lat, rows, scale_exp=-1)
-            out.append((make_vertex(gens, a.h + EDGE_HEIGHT_SIGN * d, p), d))
+            sup = Lattice.from_cols(p, _lift_gens(lat, rows), lat.k + 1)
+            out.append((make_vertex(sup, a.h + EDGE_HEIGHT_SIGN * d), d))
     return out
 
 
@@ -255,9 +255,9 @@ def act(g, d_val: int, a: BuildingVertex) -> BuildingVertex:
     ginv = _rational_inverse(g)
     cols = [
         [sum(ginv[r][k] * col[k] for k in range(a.n)) for r in range(a.n)]
-        for col in a.lat.cols
+        for col in a.lat.H
     ]
-    return make_vertex(cols, a.h + d_val, a.p)
+    return make_vertex(Lattice.from_cols(a.p, cols, a.lat.k), a.h + d_val)
 
 
 def descent(a: BuildingVertex) -> BuildingVertex:
@@ -314,11 +314,10 @@ class OrientedSimplex:
         chain = list(chain)
         if not chain:
             raise ValueError("empty chain")
-        p = chain[0].p
         for sub, sup in zip(chain, chain[1:]):
             if not sup.contains(sub) or sup == sub:
                 raise ValueError("chain must be strictly increasing")
-        top = Lattice.from_cols(p, chain[0].scale(-1).cols)
+        top = chain[0].scale(-1)
         if not top.contains(chain[-1]) or top == chain[-1]:
             raise ValueError("chain must stay strictly inside p^(-1) Lambda_0")
         self.chain = tuple(chain)
@@ -339,7 +338,7 @@ class OrientedSimplex:
     def rotate(self) -> "OrientedSimplex":
         base = self.chain[0]
         nxt = self.chain[1] if len(self.chain) > 1 else None
-        shifted = Lattice.from_cols(base.p, base.scale(-1).cols)
+        shifted = base.scale(-1)
         if nxt is None:
             return OrientedSimplex([shifted], self.h0 + EDGE_HEIGHT_SIGN * lam_dim(base, shifted))
         new_chain = list(self.chain[1:]) + [shifted]

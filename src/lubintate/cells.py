@@ -3,20 +3,22 @@
 A cell carries a building vertex, a principal congruence level m >= 1, and
 the polygon bound cutting out the good-reduction locus.  Its boundary
 strata are indexed by nonzero proper subspaces E of pi^(-1)Lambda/Lambda
-(coordinates taken in the canonical basis p^(-1) * cols).  Gluing a stratum
+(coordinates taken in the basis p^(-1-k) H of pi^(-1)Lambda, where
+Lambda = p^(-k) H is the vertex's Hermite form).  Gluing a stratum
 crosses to the vertex of the preimage lattice p^(-1)(E); the matched
 stratum on the far side is the image of pi^(-1)Lambda, and gluing twice is
 the identity on components.
 
 The transition matrix of a glue step is the honest mod-p coordinate map
-between the two pi-quotients; composing transitions along a 2-simplex and
-comparing against the direct glue is the cocycle check.  All of it is exact
-F_p linear algebra on canonical echelon forms.
+between the two pi-quotients, read off integer back substitution in the
+two Hermite forms; composing transitions along a 2-simplex and comparing
+against the direct glue is the cocycle check.  All of it is exact F_p
+linear algebra on canonical echelon forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -24,7 +26,7 @@ from .building import (
     EDGE_HEIGHT_SIGN,
     BuildingVertex,
     Lattice,
-    _lift_rows,
+    _lift_gens,
     make_vertex,
 )
 from .fqlin import (
@@ -51,6 +53,13 @@ class Cell:
     vertex: BuildingVertex
     level: int
     constraint: NewtonPolygon
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def quotient_image(self, rank: int) -> NewtonPolygon:
+        """canonical_quotient(constraint, rank).image, computed once per rank."""
+        if rank not in self._images:
+            self._images[rank] = canonical_quotient(self.constraint, rank).image
+        return self._images[rank]
 
 
 def make_cell(vertex: BuildingVertex, level: int) -> Cell:
@@ -95,28 +104,19 @@ def full_flags(cell: Cell):
     return list(extend([], 1))
 
 
-def _vp_min(matrix_rows, p: int):
-    return min((vp(x, p) for row in matrix_rows for x in row if x != 0), default=None)
+def _vp_min(coords, p: int):
+    """Least valuation in a list of solve_coords results (E, p^E * column)."""
+    return min((vp(x, p) - E for E, col in coords for x in col if x), default=None)
 
 
-def _coords_matrix(target: Lattice, source: Lattice):
-    """Columns of `source` in the basis of `target` (exact rationals)."""
-    return [target.solve_coords(col) for col in source.cols]
-
-
-def _mod_p_matrix(cols_of_coords, p: int):
-    """Transpose column list into mod-p rows; entries must be p-integral."""
-    n = len(cols_of_coords)
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            x = cols_of_coords[c][r]
-            if x.denominator % p == 0:
-                raise ArithmeticError("non-integral transition entry")
-            row.append((x.numerator * pow(x.denominator, -1, p)) % p)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _mod_p_matrix(coords, p: int):
+    """Transpose solve_coords results into mod-p rows; entries must be p-integral."""
+    cols = []
+    for E, col in coords:
+        if any(x % p ** E for x in col):
+            raise ArithmeticError("non-integral transition entry")
+        cols.append([x // p ** E % p for x in col])
+    return tuple(zip(*cols))
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,10 @@ def glue_edge(b: BoundaryComponent) -> GlueResult:
     cell = b.cell
     vtx = cell.vertex
     lat, n, p = vtx.lat, vtx.n, vtx.p
-    gens = [list(c) for c in lat.cols] + _lift_rows(lat, b.subspace, scale_exp=-1)
-    far = Lattice.from_cols(p, gens)
+    far = Lattice.from_cols(p, _lift_gens(lat, b.subspace), lat.k + 1)
 
-    fwd = _coords_matrix(far, lat)      # B'^{-1} B
-    bwd = _coords_matrix(lat, far)      # B^{-1} B'
+    fwd = [far.solve_coords(col, lat.k) for col in lat.H]   # B'^{-1} B
+    bwd = [lat.solve_coords(col, far.k) for col in far.H]   # B^{-1} B'
     lvl = cell.level - 1 + (_vp_min(fwd, p) or 0) + (_vp_min(bwd, p) or 0)
     if lvl < 0:
         raise LevelError(
@@ -155,8 +154,7 @@ def glue_edge(b: BoundaryComponent) -> GlueResult:
         raise ArithmeticError("transition image has wrong dimension")
 
     far_vertex = make_vertex(far, vtx.h + EDGE_HEIGHT_SIGN * b.rank)
-    far_constraint = canonical_quotient(cell.constraint, b.rank).image
-    far_cell = Cell(far_vertex, cell.level, far_constraint)
+    far_cell = Cell(far_vertex, cell.level, cell.quotient_image(b.rank))
     return GlueResult(BoundaryComponent(far_cell, n - b.rank, star), T)
 
 

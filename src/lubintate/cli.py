@@ -11,6 +11,7 @@ failures, bad valuations), 2 on usage errors (argparse's own convention).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -278,7 +279,9 @@ def cmd_selftest(args) -> int:
 # parser
 # ---------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built on first use and shared by later calls."""
     top = argparse.ArgumentParser(
         prog="lubintate",
         description="exact tools for period maps, polygon calculus, "

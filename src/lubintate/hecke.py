@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .polygon import (
     NewtonPolygon,
+    _lower_hull,
     boundary_indices,
     in_gross_hopkins,
     in_H,
@@ -84,15 +85,7 @@ def _division_profile(poly: NewtonPolygon, b: Fraction):
     points = [(Fraction(0), Fraction(b))] + [
         (Fraction(x), y) for x, y in poly.vertex_points()
     ]
-    hull = [points[0]]
-    for p in points[1:]:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
+    hull = _lower_hull(points)
     roots = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         width = x2 - x1

@@ -1,10 +1,13 @@
 """Lattice vertices, edges, balls, group action, oriented simplices."""
 
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lubintate import building as B
 from lubintate.building import (
     Lattice,
     OrientedSimplex,
@@ -18,6 +21,92 @@ from lubintate.building import (
     to_dot,
 )
 from lubintate.fqlin import gaussian_binomial
+from lubintate.valuations import vp
+
+
+# ---------------------------------------------------------------------
+# Fraction oracles: Hermite reduction and back substitution over Q
+# ---------------------------------------------------------------------
+
+def _canonical_residue(x, p, a):
+    """Canonical representative of x + p^a Z_(p): p^w * (unit mod p^(a-w))."""
+    if x == 0:
+        return Fraction(0)
+    w = vp(x, p)
+    if w >= a:
+        return Fraction(0)
+    u = x / Fraction(p) ** w
+    mod = p ** (a - w)
+    return Fraction(u.numerator * pow(u.denominator, -1, mod) % mod) * Fraction(p) ** w
+
+
+def hermite_oracle(p, generators):
+    """Canonical Fraction columns: pivot p^(a_j), entries above reduced."""
+    cols = [[Fraction(x) for x in col] for col in generators]
+    n = len(cols[0])
+    placed = [None] * n
+    for row in range(n - 1, -1, -1):
+        live = [(vp(c[row], p), idx) for idx, c in enumerate(cols) if c[row]]
+        if not live:
+            raise ValueError("generators do not have full rank")
+        v, best = min(live)
+        pivot = cols.pop(best)
+        u = pivot[row] / Fraction(p) ** v
+        pivot = [x / u for x in pivot]
+        for c in cols:
+            t = c[row] / pivot[row]
+            for r in range(n):
+                c[r] -= t * pivot[r]
+        placed[row] = pivot
+    exps = [vp(placed[j][j], p) for j in range(n)]
+    for j in range(n):
+        for i in range(j - 1, -1, -1):
+            e = placed[j][i]
+            t = (e - _canonical_residue(e, p, exps[i])) / placed[i][i]
+            for r in range(n):
+                placed[j][r] -= t * placed[i][r]
+    return tuple(tuple(c) for c in placed)
+
+
+def contains_oracle(p, big_cols, small_cols):
+    """Back substitution of each small column in the big basis over Q."""
+    n = len(big_cols)
+    for v in small_cols:
+        coords = [Fraction(0)] * n
+        for row in range(n - 1, -1, -1):
+            t = v[row] - sum(big_cols[j][row] * coords[j] for j in range(row + 1, n))
+            coords[row] = t / big_cols[row][row]
+        if any(x and vp(x, p) < 0 for x in coords):
+            return False
+    return True
+
+
+def _units(p):
+    return st.integers(1, 30).filter(lambda u: u % p)
+
+
+@st.composite
+def generator_sets(draw, p, n, extra=2):
+    """n to n+extra columns of rationals p^v * a/d with d prime to p."""
+    m = draw(st.integers(n, n + extra))
+    entry = st.builds(
+        lambda a, v, d: Fraction(a * p ** max(v, 0), d * p ** max(-v, 0)),
+        st.integers(-20, 20), st.integers(-3, 3), _units(p),
+    )
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+
+
+primes = st.sampled_from((2, 3, 5))
+dims = st.integers(1, 3)
+
+
+def _det(g):
+    n = len(g)
+    return sum(
+        (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        * prod(g[i][perm[i]] for i in range(n))
+        for perm in permutations(range(n))
+    )
 
 
 def test_lattice_canonical_form():
@@ -122,9 +211,7 @@ def test_act_rejects_singular():
 def test_oriented_simplex_rotation():
     v = standard_vertex(3, 2)
     lam = v.lat
-    sub = Lattice.from_cols(
-        3, [list(c) for c in lam.scale(1).cols] + B._lift_rows(lam, [(1, 0)])
-    )
+    sub = Lattice.from_cols(3, [[3, 0], [0, 3], [1, 0]])  # 3*lam + lift of (1, 0)
     s = OrientedSimplex([sub, lam], 5)
     assert s.dim == 1
     assert [x.h for x in s.vertices()] == [5, 6]
@@ -148,3 +235,90 @@ def test_json_and_dot_smoke():
     edges = [(a, w, i) for w, i in out_edges(a)]
     dot = to_dot([a] + [w for w, _ in out_edges(a)], edges)
     assert dot.startswith("digraph") and dot.count("->") == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=primes, n=dims, data=st.data())
+def test_hermite_form_matches_fraction_oracle(p, n, data):
+    gens = data.draw(generator_sets(p, n))
+    try:
+        want = hermite_oracle(p, gens)
+    except ValueError:
+        with pytest.raises(ValueError, match="full rank"):
+            Lattice.from_cols(p, gens)
+        return
+    lat = Lattice.from_cols(p, gens)
+    assert lat.cols == want
+    assert lat.pivot_exponents == tuple(vp(want[j][j], p) for j in range(n))
+    assert any(x % p for col in lat.H for x in col)  # the least shift k
+    # the shift argument and scale() move k alone
+    t = data.draw(st.integers(-3, 3))
+    assert Lattice.from_cols(p, gens, t) == lat.scale(-t)
+    scaled = [[x * Fraction(p) ** t for x in c] for c in gens]
+    assert lat.scale(t).cols == hermite_oracle(p, scaled)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=primes, n=dims, data=st.data())
+def test_hermite_form_is_invariant_under_unimodular_ops(p, n, data):
+    gens = data.draw(generator_sets(p, n))
+    try:
+        lat = Lattice.from_cols(p, gens)
+    except ValueError:
+        assume(False)
+    cols = [list(c) for c in gens]
+    z_p = st.builds(Fraction, st.integers(-9, 9), _units(p))
+    unit = st.builds(lambda a, b, s: s * Fraction(a, b), _units(p), _units(p),
+                     st.sampled_from((1, -1)))
+    for _ in range(data.draw(st.integers(1, 6))):
+        op = data.draw(st.sampled_from(("swap", "add", "unit", "append")))
+        i = data.draw(st.integers(0, len(cols) - 1))
+        j = data.draw(st.integers(0, len(cols) - 1))
+        if op == "swap":
+            cols[i], cols[j] = cols[j], cols[i]
+        elif op == "add" and i != j:
+            r = data.draw(z_p)
+            cols[i] = [x + r * y for x, y in zip(cols[i], cols[j])]
+        elif op == "unit":
+            u = data.draw(unit)
+            cols[i] = [u * x for x in cols[i]]
+        elif op == "append":
+            rs = [data.draw(z_p) for _ in cols]
+            cols.append([sum(r * c[k] for r, c in zip(rs, cols)) for k in range(n)])
+    assert Lattice.from_cols(p, cols) == lat
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=primes, n=dims, data=st.data())
+def test_contains_matches_back_substitution_oracle(p, n, data):
+    gens = data.draw(generator_sets(p, n))
+    try:
+        big = Lattice.from_cols(p, gens)
+    except ValueError:
+        assume(False)
+    if data.draw(st.booleans()):
+        # a Z_(p)-combination of big's basis, usually a sublattice
+        mix = [[data.draw(st.integers(-4, 4)) * p ** data.draw(st.integers(0, 2))
+                for _ in range(n)] for _ in range(n)]
+        assume(_det(mix) != 0)
+        small_gens = [[sum(m[k] * big.cols[k][r] for k in range(n)) for r in range(n)]
+                      for m in mix]
+    else:
+        small_gens = data.draw(generator_sets(p, n, extra=0))
+    try:
+        small = Lattice.from_cols(p, small_gens)
+    except ValueError:
+        assume(False)
+    assert big.contains(small) == contains_oracle(p, big.cols, small.cols)
+    assert small.contains(big) == contains_oracle(p, small.cols, big.cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from((2, 3)), n=st.integers(2, 3), data=st.data())
+def test_act_is_edge_equivariant_on_random_vertices(p, n, data):
+    a = data.draw(st.sampled_from(ball(standard_vertex(p, n), 1)))
+    g = [[data.draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(n)]
+    assume(_det(g) != 0)
+    d = data.draw(st.integers(-3, 3))
+    image = {(act(g, d, w), i) for w, i in out_edges(a)}
+    assert image == set(out_edges(act(g, d, a)))

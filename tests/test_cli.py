@@ -81,6 +81,23 @@ def test_periods_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("building", "--n", "3", "--p", "2", "--radius", "2"),
+     "ad11a9392c2f89d28c300fffc533055ec967a017a710e8936e57353af24c099d"),
+    (("building", "--n", "3", "--p", "2", "--radius", "2", "--format", "dot"),
+     "421a500b92581e75619b8d38cfb44b74d856bc4cb3a075a243bc4912ae655896"),
+    (("cells", "complex", "--n", "3", "--p", "2", "--radius", "1"),
+     "4685375133efbac3a322cfeb457defd806dad4fdfd7955afd713566121936a05"),
+    (("cells", "complex", "--n", "2", "--p", "3", "--radius", "2", "--lift"),
+     "bb88de57a4a2074071d777532fe10d58835ab204a95adde50c41963a61280bbb"),
+])
+def test_lattice_output_is_pinned(capsys, argv, digest):
+    # sha256 of stdout as printed by the Fraction-column lattice kernel
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_hecke_reduce_worked_example(capsys):
     d = run_json(capsys, "hecke", "reduce", "--n", "2", "--q", "3",
                  "--vals", "3/10")
@@ -162,6 +179,18 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_parser_survives_a_rejected_call(capsys):
+    # the parser is built once per process; a usage error must leave no state
+    argv = ["polygon", "--n", "2", "--q", "3", "--vals", "1/2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    first = run(capsys, *argv)
+    second = run(capsys, *argv)
+    assert first[0] == 0 and first == second
 
 
 def test_output_deterministic(capsys):
