@@ -9,7 +9,7 @@ over one shared RamifiedRing.  Zero coefficients are never stored.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, sub
 
 from .valuations import LaurentCoeff, RamifiedRing
 
@@ -167,22 +167,43 @@ class TruncSeries:
         return result
 
     def inverse(self) -> "TruncSeries":
-        """Geometric-series inverse; the constant term must be invertible."""
-        c = self.constant_term()
-        if c.is_zero:
+        """Inverse by the coefficient recurrence of power-series division.
+
+        With c the constant term (it must be invertible) and h = self - c,
+        g_0 = 1/c and g_a = -(1/c) * sum over b in supp(h), b <= a, of
+        h_b * g_(a-b), for every exponent a != 0 that sums of supp(h) reach
+        below the cap, taken in order of total degree (Knuth, TAOCP vol. 2,
+        section 4.7).  The cost is (#terms of h) x (#terms of the result).
+        """
+        zero = (0,) * self.nvars
+        c = self.coeffs.get(zero)
+        if c is None:
             raise ValueError("constant term is zero (not invertible at this cap)")
         cinv = c.inverse()
-        # self = c(1 + h), h with no constant term and h nilpotent mod cap
-        h = (self - TruncSeries.const(self.ring, self.nvars, self.cap, c)).scale(cinv)
-        result = TruncSeries.one(self.ring, self.nvars, self.cap)
-        power = TruncSeries.one(self.ring, self.nvars, self.cap)
-        bound = self.nvars * (self.cap - 1) + 1
-        for _ in range(bound):
-            power = (-power) * h
-            if power.is_zero:
-                break
-            result = result + power
-        return result.scale(cinv)
+        neg_cinv = -cinv
+        h = [(b, hb) for b, hb in self.coeffs.items() if b != zero]
+        cap = self.cap
+        # the exponents that sums of supp(h) reach below the cap
+        reach, frontier = set(), [zero]
+        while frontier:
+            grown = []
+            for a in frontier:
+                for b, _ in h:
+                    s = tuple(map(add, a, b))
+                    if max(s) < cap and s not in reach:
+                        reach.add(s)
+                        grown.append(s)
+            frontier = grown
+        out = {zero: cinv}
+        for a in sorted(reach, key=sum):
+            acc = LaurentCoeff.zero(self.ring)
+            for b, hb in h:
+                prev = out.get(tuple(map(sub, a, b)))
+                if prev is not None:
+                    acc = acc + hb * prev
+            if not (g := neg_cinv * acc).is_zero:
+                out[a] = g
+        return TruncSeries._clean(self.ring, self.nvars, cap, out)
 
     # ---- twists and export ---------------------------------------------
 

@@ -422,29 +422,28 @@ def opd_axioms_hold(ring) -> bool:
     q = ring.q
     pi_elem = ring.o_image(Fraction(1), 1)
 
-    def power(x, k):
-        out = ring.one
-        for _ in range(k):
-            out = ring.mul(out, x)
+    def powers(x):
+        """[x^0, x^1, ..., x^q]."""
+        out = [ring.one]
+        for _ in range(q):
+            out.append(ring.mul(out[-1], x))
         return out
 
-    for x in ring.sample_J():
-        lhs = ring.mul(pi_elem, ring.gamma(x))
-        if not ring.eq(lhs, power(x, q)):
+    sample_J = [(x, ring.gamma(x), powers(x)) for x in ring.sample_J()]
+    sample_B = [(a, powers(a)[q]) for a in ring.sample_B()]
+    alphas = [ring.o_image(Fraction(comb(q, i)), -1) for i in range(1, q)]
+    for x, gx, xs in sample_J:
+        if not ring.eq(ring.mul(pi_elem, gx), xs[q]):
             return False
-        for a in ring.sample_B():
-            if not ring.eq(ring.gamma(ring.mul(a, x)),
-                           ring.mul(power(a, q), ring.gamma(x))):
+        for a, aq in sample_B:
+            if not ring.eq(ring.gamma(ring.mul(a, x)), ring.mul(aq, gx)):
                 return False
-    for x in ring.sample_J():
-        for y in ring.sample_J():
-            lhs = ring.gamma(ring.add(x, y))
-            rhs = ring.add(ring.gamma(x), ring.gamma(y))
-            for i in range(1, q):
-                alpha = ring.o_image(Fraction(comb(q, i)), -1)
-                term = ring.mul(alpha, ring.mul(power(x, i), power(y, q - i)))
-                rhs = ring.add(rhs, term)
-            if not ring.eq(lhs, rhs):
+    for x, gx, xs in sample_J:
+        for y, gy, ys in sample_J:
+            rhs = ring.add(gx, gy)
+            for i, alpha in enumerate(alphas, 1):
+                rhs = ring.add(rhs, ring.mul(alpha, ring.mul(xs[i], ys[q - i])))
+            if not ring.eq(ring.gamma(ring.add(x, y)), rhs):
                 return False
     return True
 

@@ -73,9 +73,14 @@ def test_periods_checks(capsys):
      "8f94ab5486b12c1c2da5aed3033052bc9f3943fdca0463fd172e176ee6f03032"),
     (("--n", "2", "--q", "2", "--depth", "3", "--cf2"),
      "d2f7c7b1dd213d099a10fcb7e954d7a73edd47999a22f37d2704f58ff85912b6"),
+    (("--n", "2", "--q", "3", "--depth", "2", "--cf2"),
+     "778d2af665d267c78a7792983ef0dbbcf880d92ceda86b99a1fd9793640ecb40"),
+    (("--n", "2", "--q", "2", "--depth", "4", "--cf2"),
+     "6946a53320764faa4853efec216bc452d9763806e8523f4fe655e83692175a82"),
 ])
 def test_periods_output_is_pinned(capsys, argv, digest):
-    # sha256 of stdout as printed by the digit-vector coefficient kernel
+    # sha256 of stdout as printed by the digit-vector coefficient kernel (first
+    # two) and by the geometric-series inverse (the other cf2 cases)
     code, out = run(capsys, "periods", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

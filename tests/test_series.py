@@ -1,9 +1,11 @@
 """Truncated multivariate series over exact Laurent coefficients."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lubintate.series import SeriesMatrix, TruncSeries, row_times_matrix
-from lubintate.valuations import LaurentCoeff, RamifiedRing
+from lubintate.valuations import LaurentCoeff, RamifiedRing, Val
 
 
 def ring():
@@ -117,3 +119,65 @@ def test_scale_drops_products_past_precision():
     s = TruncSeries.const(R, 1, 3, u)
     assert s.scale(u).coeffs == {}
     assert (s * s).is_zero
+
+
+# ---- property tests: the inverse against the geometric series
+
+def geometric_inverse(f):
+    """1/f = c^-1 (1 - h + h^2 - ...) with h = f/c - 1, one product per power."""
+    c = f.constant_term()
+    cinv = c.inverse()
+    h = (f - TruncSeries.const(f.ring, f.nvars, f.cap, c)).scale(cinv)
+    result = TruncSeries.one(f.ring, f.nvars, f.cap)
+    power = TruncSeries.one(f.ring, f.nvars, f.cap)
+    bound = f.nvars * (f.cap - 1) + 1
+    for _ in range(bound):
+        power = (-power) * h
+        if power.is_zero:
+            break
+        result = result + power
+    return result.scale(cinv)
+
+
+def vanishes_below(s, N):
+    return all(c.valuation() >= Val(N) for c in s.coeffs.values())
+
+
+@st.composite
+def unit_series(draw):
+    """Sparse series with a unit constant term and pi exponents >= 0."""
+    R = draw(st.sampled_from((RamifiedRing(2, 1, 16), RamifiedRing(3, 1, 8),
+                              RamifiedRing(2, 2, 12))))
+    nvars = draw(st.sampled_from((1, 2)))
+    cap = draw(st.integers(1, 40))
+    # small exponents make the support of h generate many terms below the cap
+    exponent = st.integers(0, cap - 1) | st.integers(0, min(3, cap - 1))
+    digits = st.lists(st.integers(0, R.p - 1), min_size=R.m * R.N, max_size=R.m * R.N)
+    terms = draw(st.dictionaries(
+        st.tuples(*[exponent] * nvars),
+        st.tuples(digits.map(R.from_digits), st.integers(0, 2)),
+        max_size=5,
+    ))
+    coeffs = {e: LaurentCoeff(u, k) for e, (u, k) in terms.items()}
+    c = draw(digits.map(R.from_digits))
+    if c.coeffs[0] % R.p == 0:
+        c = c + R.one()
+    coeffs[(0,) * nvars] = LaurentCoeff(c)
+    return TruncSeries(R, nvars, cap, coeffs)
+
+
+@settings(deadline=None, max_examples=60)
+@given(f=unit_series())
+def test_inverse_matches_geometric_series(f):
+    N = f.ring.N
+    g = f.inverse()
+    one = TruncSeries.one(f.ring, f.nvars, f.cap)
+    assert vanishes_below(f * g - one, N)
+    assert vanishes_below(g - geometric_inverse(f), N)
+
+
+@given(f=unit_series())
+def test_inverse_needs_a_constant_term(f):
+    h = f - TruncSeries.const(f.ring, f.nvars, f.cap, f.constant_term())
+    with pytest.raises(ValueError):
+        h.inverse()
