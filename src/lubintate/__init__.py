@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for the geometry of one-dimensional formal groups.
 
-Everything here computes with exact objects: rational valuations, base-p
-digit vectors for tamely ramified p-adic coefficients, sparse truncated
+Everything here computes with exact objects: rational valuations, tamely
+ramified p-adic coefficients held as m integers mod p^N, sparse truncated
 power series, Newton polygons over Q, lattices in canonical Hermite form,
 and symbolic Witt-vector identities.  No floats, no epsilons.
 
@@ -14,6 +14,7 @@ polygon    : Newton polygons of p-divisible groups, domains D and H
 hecke      : canonical-subgroup quotients and reduction into the good domain
 building   : lattice vertices of the (GL_n x D*)/F* cell complex
 cells      : polydisk cells, boundary components, gluing, cocycle checks
+fqlin      : linear algebra over F_p, and matrix inversion over Q
 wittlab    : ramified Witt vectors, O-divided powers, Dieudonne descent
 cli        : deterministic command-line front end
 """

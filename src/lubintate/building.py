@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fqlin import echelon_subspaces
+from .fqlin import echelon_subspaces, rational_inverse
 from .valuations import _is_prime, vp
 
 EDGE_HEIGHT_SIGN = 1
@@ -252,7 +252,7 @@ def edges_up(a: BuildingVertex):
 
 def act(g, d_val: int, a: BuildingVertex) -> BuildingVertex:
     """Left action: lattice g^(-1) Lambda, h + d_val, renormalized."""
-    ginv = _rational_inverse(g)
+    ginv, _ = rational_inverse(g)
     cols = [
         [sum(ginv[r][k] * col[k] for k in range(a.n)) for r in range(a.n)]
         for col in a.lat.H
@@ -263,26 +263,6 @@ def act(g, d_val: int, a: BuildingVertex) -> BuildingVertex:
 def descent(a: BuildingVertex) -> BuildingVertex:
     """One application of the inverse-uniformizer twist: h drops by 1."""
     return BuildingVertex(a.lat, a.h - 1)
-
-
-def _rational_inverse(g):
-    rows = [[Fraction(x) for x in r] for r in g]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    aug = [r + [Fraction(1 if i == j else 0) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    return [r[n:] for r in aug]
 
 
 def ball(a: BuildingVertex, radius: int):

@@ -72,7 +72,7 @@ def make_cell(vertex: BuildingVertex, level: int) -> Cell:
 class BoundaryComponent:
     cell: Cell
     rank: int
-    subspace: tuple  # echelon rows over F_p, dim = rank
+    subspace: tuple  # RREF rows over F_p, dim = rank; compared as-is with rref output
 
 
 def boundary_components(cell: Cell, rank: int):
@@ -146,7 +146,7 @@ def glue_edge(b: BoundaryComponent) -> GlueResult:
         )
 
     T = _mod_p_matrix(fwd, p)
-    if kernel_basis(T, p) != rref(b.subspace, p)[0]:
+    if kernel_basis(T, p) != b.subspace:
         raise ArithmeticError("transition kernel does not match the stratum")
     # image of T: its columns, echelonized as row vectors
     star = rref([tuple(row) for row in zip(*T)], p)[0]
@@ -190,10 +190,10 @@ def cocycle_check(cell: Cell, inner, outer, corruption=None) -> bool:
     if step2.component.cell.vertex != direct.component.cell.vertex:
         return False
     composite = mat_mul(step2.transition, relabel, p)
-    if kernel_basis(composite, p) != rref(outer_r, p)[0]:
+    if kernel_basis(composite, p) != outer_r:
         return False
     comp_image = rref([tuple(row) for row in zip(*composite)], p)[0]
-    if comp_image != rref(list(direct.component.subspace), p)[0]:
+    if comp_image != direct.component.subspace:
         return False
     direct_T = direct.transition
     return composite == direct_T

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import building, cells, hecke, periods, polygon, wittlab
-from .valuations import INF, Val
+from .valuations import frac_json
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -27,29 +27,12 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational {text!r}") from exc
 
 
-def _parse_vals(text: str, allow_inf: bool = False):
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if piece.lower() == "inf":
-            if not allow_inf:
-                raise ValueError("inf not allowed here")
-            out.append(INF)
-        else:
-            out.append(_parse_rational(piece))
-    return out
-
-
-def _frac_obj(x) -> dict:
-    if isinstance(x, Val):
-        return x.json_obj()
-    if x is INF:
-        return {"inf": True}
-    return {"num": x.numerator, "den": x.denominator}
+def _parse_vals(text: str):
+    return [_parse_rational(piece) for piece in text.split(",")]
 
 
 def _value_mult_list(pairs):
-    return [{"val": _frac_obj(v), "mult": m} for v, m in pairs]
+    return [{"val": frac_json(v), "mult": m} for v, m in pairs]
 
 
 def _emit(args, text: str) -> None:
@@ -103,8 +86,8 @@ def cmd_polygon(args) -> int:
         _emit(args, polygon.render_svg(poly))
     else:
         out = poly.to_json_dict()
-        out["lambda_1"] = _frac_obj(poly.slopes[0])
-        out["lambda_n"] = _frac_obj(poly.slopes[-1])
+        out["lambda_1"] = frac_json(poly.slopes[0])
+        out["lambda_n"] = frac_json(poly.slopes[-1])
         if args.torsion:
             out["torsion"] = _value_mult_list(
                 polygon.torsion_valuations(poly, args.torsion)

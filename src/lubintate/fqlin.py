@@ -1,13 +1,17 @@
-"""Small exact linear algebra over prime fields F_p.
+"""Small exact linear algebra over prime fields F_p, and inversion over Q.
 
 Rows are tuples of ints in [0, p); subspaces are canonically represented by
 their reduced row-echelon bases, so equality of spans is equality of tuples.
 Only prime p is supported (the lattice pictures downstream all have residue
 field F_p).
+
+`rational_inverse` is the one elimination over Q: it returns the inverse
+and the determinant of a Fraction matrix from one Gauss-Jordan pass.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
@@ -77,6 +81,34 @@ def kernel_basis(rows, p: int):
             v[pc] = (-base[r][f]) % p
         out.append(tuple(v))
     return rref(out, p)[0]
+
+
+def rational_inverse(g):
+    """(g^(-1), det g) for a square matrix g over Q, as Fraction rows.
+
+    Raises ValueError when g is singular or not square.
+    """
+    n = len(g)
+    if any(len(r) != n for r in g):
+        raise ValueError("matrix must be square")
+    aug = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+           for i, r in enumerate(g)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        inv = aug[col][col]
+        det *= inv
+        aug[col] = [x / inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+    return [r[n:] for r in aug], det
 
 
 def mat_mul(A, B, p: int):

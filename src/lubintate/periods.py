@@ -186,13 +186,6 @@ class CF2Value:
     series: TruncSeries
     x_exp: int
 
-    def pi_table(self):
-        """Sorted (absolute x exponent, pi exponent) pairs."""
-        out = []
-        for exps in sorted(self.series.coeffs):
-            out.append((exps[0] + self.x_exp, self.series.coeffs[exps].pi_exp))
-        return out
-
 
 def period_cf2(q: int, depth: int, cap: int | None = None,
                ring: RamifiedRing | None = None) -> CF2Value:
@@ -329,7 +322,7 @@ def evaluate_periods(pt: PeriodTuple, coords, point_ring: RamifiedRing):
     """Substitute exact coordinates into each f_i.
 
     coords: one RamifiedElement of point_ring per variable x_1..x_{n-1}.
-    Returns a list of (Val, below_precision) pairs.  The common power
+    Returns a list of (Val, zero-to-precision flag) pairs.  The common power
     pi^(e_min) of each component is pulled out exactly, so a finite answer
     is exact; an all-zero digit sum reports (INF, True) rather than lying.
     """
@@ -353,58 +346,7 @@ def evaluate_periods(pt: PeriodTuple, coords, point_ring: RamifiedRing):
                 if e:
                     term = term * c ** e
             total = total + term
-        v, flag = total.valuation_report()
-        out.append((Val(e_min) + v, flag))
+        v = total.valuation()
+        out.append((Val(e_min) + v, v.is_inf))
     return out
 
-
-# ---------------------------------------------------------------------
-# domains of the period map
-# ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DomainReport:
-    source: bool
-    target_witness: tuple
-    max_source_bound: Val | None
-    min_target_bound: Val
-
-
-def isomorphism_domains(n: int, q: int, vals) -> DomainReport:
-    """Inequality system delimiting where the period map is an isomorphism.
-
-    vals are v(x_1), ..., v(x_{n-1}) (rationals or INF); the boundary
-    conventions are v(x_0) = v(pi) = 1 and v(x_n) = v(1) = 0.  The source
-    condition is: for all 1 <= i <= n and 0 <= j <= n-1,
-
-        (1 - v(x_i)) / (q^n (q^i - 1))  <  v(x_j) / (q^n - q^j).
-
-    Infinite v(x_i) makes the left side -infinity (skip); infinite v(x_j)
-    makes the right side +infinity (skip).  Both sides are always populated
-    by the i = n and j = 0 conventions.
-    """
-    vals = [v if isinstance(v, Val) else Val(v) for v in vals]
-    if len(vals) != n - 1:
-        raise ValueError("need n-1 coordinate valuations")
-    qn = q ** n
-    lhs = []
-    for i in range(1, n + 1):
-        v = Val(0) if i == n else vals[i - 1]
-        if v.is_inf:
-            continue
-        lhs.append(Fraction(1 - v.as_fraction(), qn * (q ** i - 1)))
-    rhs = []
-    for j in range(0, n):
-        v = Val(1) if j == 0 else vals[j - 1]
-        if v.is_inf:
-            continue
-        rhs.append(Fraction(v.as_fraction(), qn - q ** j))
-    max_lhs = max(lhs)
-    min_rhs = min(rhs)
-    witness = tuple([Val(1)] + vals + [Val(0)])
-    return DomainReport(
-        source=max_lhs < min_rhs,
-        target_witness=witness,
-        max_source_bound=Val(max_lhs),
-        min_target_bound=Val(min_rhs),
-    )

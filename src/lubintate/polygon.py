@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .valuations import Val, prime_power_split
+from .valuations import Val, frac_json, prime_power_split
 
 
 def _as_val(v) -> Val:
@@ -89,10 +89,8 @@ class NewtonPolygon:
         return {
             "n": self.n,
             "q": self.q,
-            "slopes": [{"num": s.numerator, "den": s.denominator} for s in self.slopes],
-            "vertex_vals": [
-                {"num": v.numerator, "den": v.denominator} for v in self.vertex_vals
-            ],
+            "slopes": [frac_json(s) for s in self.slopes],
+            "vertex_vals": [frac_json(v) for v in self.vertex_vals],
             "in_D": in_gross_hopkins(self),
             "in_H": in_H(self),
             "boundary_indices": sorted(boundary_indices(self)),
@@ -200,6 +198,19 @@ def in_H(poly: NewtonPolygon) -> bool:
 
 
 def vals_in_H(n: int, q: int, vals) -> bool:
+    """Coordinate form of the H condition lambda_1 / q^n < lambda_n.
+
+    vals are v(x_1), ..., v(x_{n-1}) (rationals or INF), with the
+    conventions v(x_0) = v(pi) = 1 and v(x_n) = v(1) = 0.  Through the
+    closed forms of lambda_extremes this is the inequality system cutting
+    out where the period map is an isomorphism: for all 1 <= i <= n and
+    0 <= j <= n-1,
+
+        (1 - v(x_i)) / (q^n (q^i - 1))  <  v(x_j) / (q^n - q^j).
+
+    An infinite v(x_i) drops its left side and an infinite v(x_j) its right
+    side; the i = n and j = 0 conventions keep both sides populated.
+    """
     lam1, lamn = lambda_extremes(n, q, vals)
     return lam1 < lamn * q ** n
 

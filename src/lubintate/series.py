@@ -226,12 +226,8 @@ class TruncSeries:
         return TruncSeries._clean(self.ring, self.nvars, self.cap, out)
 
     def to_json_dict(self):
-        terms = []
-        for exps in sorted(self.coeffs):
-            c = self.coeffs[exps]
-            terms.append(
-                {"exps": list(exps), "pi_exp": c.pi_exp, "digits": c.unit.digit_string()}
-            )
+        terms = [{"exps": list(exps), **self.coeffs[exps].json_obj()}
+                 for exps in sorted(self.coeffs)]
         return {"nvars": self.nvars, "cap": self.cap, "terms": terms}
 
     def __eq__(self, other) -> bool:

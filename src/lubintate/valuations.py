@@ -10,8 +10,8 @@ v(sum a_r u^r) = min_r (m v_p(a_r) + r) / m lies in (1/m)Z.
 The u-adic digit expansion is an I/O format only: digit slot j*m + r is
 the j-th base-p digit of a_r (`from_digits`, `digit_string`).
 
-Zero means "zero to working precision"; its valuation is INF and the
-below-precision flag is set rather than raising.
+Zero means "zero to working precision": `is_zero` holds and the
+valuation is INF rather than an error.
 
 Division by pi never widens the precision.  `LaurentCoeff` keeps a unit part
 together with an integer power of pi, so series coefficients like pi^(-2)*u
@@ -149,19 +149,14 @@ class Val:
     def __repr__(self) -> str:
         return "inf" if self.is_inf else str(self.value)
 
-    def json_obj(self):
-        """CLI encoding: {"num": a, "den": b} or {"inf": true}."""
-        if self.is_inf:
-            return {"inf": True}
-        return {"num": self.value.numerator, "den": self.value.denominator}
 
-
-def parse_val(text: str) -> Val:
-    """Parse 'a/b', 'a', or 'inf' into a Val."""
-    text = text.strip()
-    if text.lower() == "inf":
-        return Val(INF)
-    return Val(Fraction(text))
+def frac_json(x) -> dict:
+    """JSON encoding of a Fraction, Val or INF: {"num": a, "den": b} or {"inf": true}."""
+    if isinstance(x, Val):
+        x = x.value
+    if x is INF:
+        return {"inf": True}
+    return {"num": x.numerator, "den": x.denominator}
 
 
 class RamifiedRing:
@@ -248,11 +243,6 @@ class RamifiedElement:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    @property
-    def below_precision(self) -> bool:
-        """True when the element is indistinguishable from 0 at precision N."""
-        return self.is_zero
-
     def u_valuation(self):
         """min_r(m * v_p(a_r) + r): the valuation in units of 1/m; None for 0."""
         m, p = self.ring.m, self.ring.p
@@ -263,11 +253,6 @@ class RamifiedElement:
     def valuation(self) -> Val:
         k = self.u_valuation()
         return Val(INF) if k is None else Val(Fraction(k, self.ring.m))
-
-    def valuation_report(self):
-        """(valuation, below_precision flag)."""
-        v = self.valuation()
-        return v, v.is_inf
 
     def __add__(self, other) -> "RamifiedElement":
         other = self._check(other)
@@ -409,11 +394,6 @@ class RamifiedElement:
         return ",".join(str(d) for d in digits)
 
 
-def valuation_of(a: RamifiedElement) -> Val:
-    """Module-level alias: v(a), INF for the zero vector."""
-    return a.valuation()
-
-
 class LaurentCoeff:
     """unit * pi^e with v(unit) in [0, 1) (zero has canonical e = 0).
 
@@ -462,8 +442,6 @@ class LaurentCoeff:
     @property
     def is_zero(self) -> bool:
         return not any(self.unit.coeffs)
-
-    below_precision = is_zero
 
     def valuation(self) -> Val:
         if self.is_zero:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .fqlin import rational_inverse
 from .valuations import prime_power_split, vp
 
 def _var(name: str) -> dict:
@@ -548,64 +549,9 @@ def exp_nilpotent_hom(ring, f, pi_op, bound: int = 64):
 # Dieudonne data with O-action
 # ---------------------------------------------------------------------
 
-def _smith_vp(rows, p: int):
-    """v_p of the Smith invariants of a square matrix over Z_(p)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    out = []
-    size = n
-    while size > 0:
-        best = None
-        for i in range(size):
-            for j in range(size):
-                if m[i][j] != 0:
-                    v = vp(m[i][j], p)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        if best is None:
-            raise ValueError("matrix is singular")
-        v, bi, bj = best
-        m[0], m[bi] = m[bi], m[0]
-        for row in m:
-            row[0], row[bj] = row[bj], row[0]
-        piv = m[0][0]
-        for i in range(1, size):
-            factor = m[i][0] / piv
-            m[i] = [m[i][j] - factor * m[0][j] for j in range(size)]
-        for j in range(1, size):
-            factor = m[0][j] / piv
-            for i in range(size):
-                m[i][j] -= factor * m[i][0]
-        out.append(v)
-        m = [row[1:] for row in m[1:]]
-        size -= 1
-    return sorted(out)
-
-
-def _det(rows):
-    m = [list(row) for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            factor = m[r][c] * inv
-            m[r] = [m[r][k] - factor * m[c][k] for k in range(n)]
-    return det
+def _least_vp(rows, p: int) -> int:
+    """Least v_p of the nonzero entries: the first Smith invariant over Z_(p)."""
+    return min(vp(x, p) for row in rows for x in row if x)
 
 
 @dataclass(frozen=True)
@@ -626,21 +572,24 @@ def dieudonne_O(p: int, blocks, e: int = 1) -> DieudonneReport:
     must be integral everywhere and invertible away from the 0th component
     (Smith invariants exactly p there).  phi_O = pi * p^(-f0) * product of
     the blocks; its determinant valuation per unit of O-height is the slope.
+
+    Only the extreme Smith invariants are needed: the least is the least
+    entry valuation of a matrix, the greatest is minus that of its inverse.
     """
     f0 = len(blocks)
-    if f0 < 1:
-        raise ValueError("need at least one block")
+    if f0 < 1 or not blocks[0]:
+        raise ValueError("need at least one nonempty block")
     d = len(blocks[0])
     mats = [[[Fraction(x) for x in row] for row in blk] for blk in blocks]
     for idx, mat in enumerate(mats):
         if len(mat) != d or any(len(row) != d for row in mat):
             raise ValueError("blocks must be square of equal size")
-        inv = _smith_vp(mat, p)
-        if inv[0] < 0:
+        lo, hi = _least_vp(mat, p), -_least_vp(rational_inverse(mat)[0], p)
+        if lo < 0:
             raise ValueError(f"block {idx}: F is not integral")
-        if inv[-1] > 1:
+        if hi > 1:
             raise ValueError(f"block {idx}: V = p/F is not integral")
-        if idx != 0 and set(inv) != {1}:
+        if idx != 0 and (lo, hi) != (1, 1):
             raise ValueError(
                 f"block {idx}: V must be invertible away from component 0"
             )
@@ -655,9 +604,9 @@ def dieudonne_O(p: int, blocks, e: int = 1) -> DieudonneReport:
     phi = tuple(tuple(scale * x for x in row) for row in prod)
     # pi*M <= phi_O(M): with phi_O = pi*phi this is Smith(phi) <= 0, which
     # follows from per-block V-integrality (p*F^-1 integral multiplies up).
-    if max(_smith_vp([list(r) for r in phi], p)) > 0:
+    phi_inv, det = rational_inverse(phi)
+    if _least_vp(phi_inv, p) < 0:
         raise RuntimeError("phi_O violates the Smith bound pi*M <= phi_O(M)")
-    det = _det(phi)
     slope = (Fraction(d, e) + Fraction(vp(det, p))) / d
     if not 0 <= slope <= 1:
         raise ValueError(f"slope {slope} outside [0, 1]")

@@ -103,6 +103,21 @@ def test_lattice_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("polygon", "--n", "4", "--q", "3", "--vals", "1/2,2/3,3/5", "--torsion", "1"),
+     "e8ed73d0e0dc70da07ccd81e42ddcc952187a6c69e33937942b25f8fa6a10a77"),
+    (("hecke", "quotient", "--n", "4", "--q", "3", "--vals", "7/8,3/4,1/2", "--rank", "2"),
+     "f2d03fc9de52feb67b51c53b8c33122a8220b5f91c53fe52e9fec47c8b92e375"),
+    (("hecke", "reduce", "--n", "4", "--q", "2", "--vals", "1/7,2/9,1/11"),
+     "1f62686d024a4df3da96f382b59979d9ddd8967c6e4e9bf900141c8ab572a87d"),
+])
+def test_polygon_hecke_output_is_pinned(capsys, argv, digest):
+    # sha256 of stdout as printed with three separate rational JSON encoders
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_hecke_reduce_worked_example(capsys):
     d = run_json(capsys, "hecke", "reduce", "--n", "2", "--q", "3",
                  "--vals", "3/10")
@@ -170,6 +185,10 @@ def test_domain_error_exits_one(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: 6 is not a prime power\n"
+    code = main(["polygon", "--n", "3", "--q", "2", "--vals", "1/2,inf"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize("max_n", ("0", "-1"))

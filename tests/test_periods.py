@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lubintate import periods
 from lubintate.periods import (
@@ -10,14 +12,13 @@ from lubintate.periods import (
     cf2_convention,
     default_coeff_ring,
     evaluate_periods,
-    isomorphism_domains,
     period_cf2,
     period_series,
     period_series_product,
 )
 from lubintate.polygon import vals_in_H
 from lubintate.series import TruncSeries
-from lubintate.valuations import LaurentCoeff, RamifiedRing
+from lubintate.valuations import INF, LaurentCoeff, RamifiedRing
 
 
 def test_recurrence_equals_matrix_product():
@@ -104,20 +105,28 @@ def test_evaluate_periods_pinned_at_ramified_point():
     assert text == "-1/4;1/4;-1/4"
 
 
-def test_isomorphism_domain_source_is_H():
-    den = 8
-    for a in range(1, 3 * den):
-        v = Fraction(a, den)
-        rep = isomorphism_domains(2, 2, [v])
-        assert rep.source == vals_in_H(2, 2, [v]), v
+_VALS = st.one_of(st.just(INF), st.fractions(min_value=Fraction(1, 64), max_value=3,
+                                              max_denominator=64))
+_NQ_VALS = st.sampled_from([(n, q) for n in (2, 3, 4) for q in (2, 3, 4)]).flatmap(
+    lambda nq: st.tuples(st.just(nq[0]), st.just(nq[1]),
+                         st.lists(_VALS, min_size=nq[0] - 1, max_size=nq[0] - 1)))
 
 
-def test_isomorphism_domain_bounds_ordered():
-    rep = isomorphism_domains(2, 2, [Fraction(1, 2)])
-    assert rep.source
-    assert rep.max_source_bound < rep.min_target_bound
-    # the witness tuple is (v(pi), vals..., v(1)) with the conventions pinned
-    assert rep.target_witness[0] == 1 and rep.target_witness[-1] == 0
+@given(case=_NQ_VALS)
+@example(case=(2, 2, [Fraction(1, 6)]))      # on the boundary: both sides 1/12
+@example(case=(3, 2, [INF, Fraction(1, 7)]))  # on the boundary: both sides 1/28
+def test_vals_in_H_is_the_isomorphism_inequality_system(case):
+    n, q, vals = case
+    v = [Fraction(1)] + vals + [Fraction(0)]  # v(x_0) = v(pi) = 1, v(x_n) = v(1) = 0
+    qn = q ** n
+    # for all 1 <= i <= n, 0 <= j <= n-1 with finite v(x_i), v(x_j):
+    #   (1 - v(x_i)) / (q^n (q^i - 1)) < v(x_j) / (q^n - q^j)
+    want = all(
+        (1 - v[i]) / (qn * (q ** i - 1)) < v[j] / (qn - q ** j)
+        for i in range(1, n + 1) if v[i] is not INF
+        for j in range(n) if v[j] is not INF
+    )
+    assert vals_in_H(n, q, vals) == want
 
 
 def test_period_series_rejects_bad_args():

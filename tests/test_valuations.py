@@ -11,9 +11,8 @@ from lubintate.valuations import (
     LaurentCoeff,
     RamifiedRing,
     Val,
-    parse_val,
+    frac_json,
     prime_power_split,
-    valuation_of,
     vp,
 )
 
@@ -35,12 +34,10 @@ def test_val_scale_positive_only():
         Val(Fraction(1)).scale(0)
 
 
-def test_val_json_and_parse():
-    assert Val(Fraction(3, 4)).json_obj() == {"num": 3, "den": 4}
-    assert Val(INF).json_obj() == {"inf": True}
-    assert parse_val("3/4") == Val(Fraction(3, 4))
-    assert parse_val("inf").is_inf
-    assert parse_val("-2") == Val(Fraction(-2))
+def test_frac_json():
+    assert frac_json(Val(Fraction(3, 4))) == {"num": 3, "den": 4}
+    assert frac_json(Fraction(-2)) == {"num": -2, "den": 1}
+    assert frac_json(Val(INF)) == frac_json(INF) == {"inf": True}
 
 
 def test_vp():
@@ -107,9 +104,8 @@ def test_below_precision_flag():
     R = RamifiedRing(2, 1, 12)
     big = R.from_int(2 ** 12)
     assert big.is_zero
-    assert big.below_precision
-    assert not R.from_int(3).below_precision
-    assert valuation_of(big).is_inf
+    assert not R.from_int(3).is_zero
+    assert big.valuation().is_inf
 
 
 def test_laurent_normalization_pulls_pi_out():

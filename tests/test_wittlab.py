@@ -13,10 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lubintate.cli import main
+from lubintate.fqlin import rational_inverse
+from lubintate.valuations import vp
 from lubintate.wittlab import (
     DualNumbers,
     LocalIntegers,
     RamifiedNilpotents,
+    _least_vp,
     alternating_inverse,
     check_o_integrality,
     const_witt,
@@ -235,6 +238,97 @@ def test_dieudonne_rejections():
         dieudonne_O(2, [[(1,)], [(1,)]])
     with pytest.raises(ValueError, match="at least one"):
         dieudonne_O(2, [])
+    with pytest.raises(ValueError, match="at least one nonempty"):
+        dieudonne_O(2, [[]])
+
+
+def _smith_vp(rows, p: int):
+    """Oracle: v_p of all Smith invariants of a square matrix over Z_(p)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    for row in m:
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+    out = []
+    size = n
+    while size > 0:
+        best = None
+        for i in range(size):
+            for j in range(size):
+                if m[i][j] != 0:
+                    v = vp(m[i][j], p)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        if best is None:
+            raise ValueError("matrix is singular")
+        v, bi, bj = best
+        m[0], m[bi] = m[bi], m[0]
+        for row in m:
+            row[0], row[bj] = row[bj], row[0]
+        piv = m[0][0]
+        for i in range(1, size):
+            factor = m[i][0] / piv
+            m[i] = [m[i][j] - factor * m[0][j] for j in range(size)]
+        for j in range(1, size):
+            factor = m[0][j] / piv
+            for i in range(size):
+                m[i][j] -= factor * m[i][0]
+        out.append(v)
+        m = [row[1:] for row in m[1:]]
+        size -= 1
+    return sorted(out)
+
+
+def _det(rows):
+    """Oracle: determinant by forward elimination."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        piv = None
+        for r in range(c, n):
+            if m[r][c] != 0:
+                piv = r
+                break
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, n):
+            factor = m[r][c] * inv
+            m[r] = [m[r][k] - factor * m[c][k] for k in range(n)]
+    return det
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)), d=st.integers(1, 4),
+       shape=st.sampled_from(("regular", "singular", "ragged")), data=st.data())
+def test_rational_inverse_matches_elimination_oracles(p, d, shape, data):
+    entry = st.fractions(min_value=-9, max_value=9, max_denominator=50)
+    width = d + 1 if shape == "ragged" else d
+    g = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                           min_size=d, max_size=d))
+    if shape == "ragged":
+        with pytest.raises(ValueError, match="square"):
+            rational_inverse(g)
+        return
+    if shape == "singular":
+        c = data.draw(entry)
+        g[-1] = [c * x for x in g[0]] if d > 1 else [Fraction(0)]
+    det = _det(g)
+    if det == 0:
+        with pytest.raises(ValueError, match="singular"):
+            rational_inverse(g)
+        return
+    inv, got = rational_inverse(g)
+    assert got == det
+    assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in g] == [
+        [int(i == j) for j in range(d)] for i in range(d)]
+    smith = _smith_vp(g, p)
+    assert (_least_vp(g, p), -_least_vp(inv, p)) == (smith[0], smith[-1])
 
 
 # ---------------------------------------------------------------------
