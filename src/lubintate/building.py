@@ -15,11 +15,10 @@ lattices are equal iff their (k, H) agree, which makes vertex identity,
 BFS balls, and gluing checks exact integer comparisons.  Scaling by p^t
 changes k alone.
 
-The sign convention for h along an oriented edge b -> c (realized as
-Lambda_b < Lambda_c inside p^(-1) Lambda_b) is h_c = h_b +
-EDGE_HEIGHT_SIGN * dim(Lambda_c / Lambda_b).  Only +1 makes edge reversal
-and simplex rotation land back on the same vertices; the constant is
-exposed for experiments but the test suite pins +1.
+The height along an oriented edge b -> c (realized as Lambda_b < Lambda_c
+inside p^(-1) Lambda_b) rises by the dimension: h_c = h_b +
+dim(Lambda_c / Lambda_b).  This is the sign that makes edge reversal and
+simplex rotation land back on the same vertices.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from math import gcd, lcm
 
 from .fqlin import echelon_subspaces, rational_inverse
 from .valuations import _is_prime, vp
-
-EDGE_HEIGHT_SIGN = 1
 
 
 class Lattice:
@@ -214,40 +211,36 @@ def standard_vertex(p: int, n: int, h: int = 0) -> BuildingVertex:
     return make_vertex(cols, h, p)
 
 
-def _lift_gens(lat: Lattice, rows):
-    """Integer generators of p^k (p*Lambda + W), W spanned by lifts of F_p rows."""
+def neighbour(lat: Lattice, rows) -> Lattice:
+    """p*Lambda + W, W spanned by the lifts of F_p rows (coordinates in H)."""
     p, n, H = lat.p, lat.n, lat.H
     gens = [[p * x for x in col] for col in H]
     for w in rows:
         gens.append([sum(wk * H[k][r] for k, wk in enumerate(w)) for r in range(n)])
-    return gens
+    return Lattice.from_cols(p, gens, lat.k)
 
 
 def out_edges(a: BuildingVertex):
     """Edges a' -> a: classes of p*Lambda + W for proper nonzero W in Lambda/p.
 
-    Returns (a', i) with i = dim(Lambda / Lambda') = n - dim W and
-    h' = h - EDGE_HEIGHT_SIGN * i.
+    Returns (a', i) with i = dim(Lambda / Lambda') = n - dim W and h' = h - i.
     """
     lat, n, p = a.lat, a.n, a.p
     out = []
     for d in range(1, n):
         for rows in echelon_subspaces(n, d, p):
-            sub = Lattice.from_cols(p, _lift_gens(lat, rows), lat.k)
             i = n - d
-            out.append((make_vertex(sub, a.h - EDGE_HEIGHT_SIGN * i), i))
+            out.append((make_vertex(neighbour(lat, rows), a.h - i), i))
     return out
 
 
 def edges_up(a: BuildingVertex):
-    """Edges a -> a'': classes of Lambda + p^(-1) E for E in p^(-1)Lambda/Lambda."""
-    lat, n, p = a.lat, a.n, a.p
-    out = []
-    for d in range(1, n):
-        for rows in echelon_subspaces(n, d, p):
-            sup = Lattice.from_cols(p, _lift_gens(lat, rows), lat.k + 1)
-            out.append((make_vertex(sup, a.h + EDGE_HEIGHT_SIGN * d), d))
-    return out
+    """Edges a -> a'': classes of Lambda + p^(-1) E for E in p^(-1)Lambda/Lambda.
+
+    Lambda + p^(-1) E = p^(-1) (p*Lambda + E) and (L, h) ~ (p L, h - n), so
+    these are the out_edges vertices, labelled by dim E = n - i.
+    """
+    return [(w, a.n - i) for w, i in out_edges(a)]
 
 
 def act(g, d_val: int, a: BuildingVertex) -> BuildingVertex:
@@ -267,6 +260,8 @@ def descent(a: BuildingVertex) -> BuildingVertex:
 
 def ball(a: BuildingVertex, radius: int):
     """Breadth-first closure under out_edges; sorted deterministically."""
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     seen = {a}
     frontier = [a]
     for _ in range(radius):
@@ -283,7 +278,7 @@ def ball(a: BuildingVertex, radius: int):
 class OrientedSimplex:
     """Chain Lambda_0 < ... < Lambda_r < p^(-1) Lambda_0 with a base height.
 
-    Vertex j of the simplex is [Lambda_j, h_0 + sign * dim(Lambda_j/Lambda_0)].
+    Vertex j of the simplex is [Lambda_j, h_0 + dim(Lambda_j/Lambda_0)].
     Rotation moves the base point one step along the chain; r+1 rotations
     return the original simplex (as vertex classes).
     """
@@ -312,7 +307,7 @@ class OrientedSimplex:
         out = []
         for lam in self.chain:
             d = lam_dim(base, lam)
-            out.append(make_vertex(lam, self.h0 + EDGE_HEIGHT_SIGN * d))
+            out.append(make_vertex(lam, self.h0 + d))
         return tuple(out)
 
     def rotate(self) -> "OrientedSimplex":
@@ -320,9 +315,9 @@ class OrientedSimplex:
         nxt = self.chain[1] if len(self.chain) > 1 else None
         shifted = base.scale(-1)
         if nxt is None:
-            return OrientedSimplex([shifted], self.h0 + EDGE_HEIGHT_SIGN * lam_dim(base, shifted))
+            return OrientedSimplex([shifted], self.h0 + lam_dim(base, shifted))
         new_chain = list(self.chain[1:]) + [shifted]
-        new_h0 = self.h0 + EDGE_HEIGHT_SIGN * lam_dim(base, nxt)
+        new_h0 = self.h0 + lam_dim(base, nxt)
         return OrientedSimplex(new_chain, new_h0)
 
     def __eq__(self, other) -> bool:

@@ -23,21 +23,17 @@ from fractions import Fraction
 from math import gcd
 
 from .building import (
-    EDGE_HEIGHT_SIGN,
     BuildingVertex,
-    Lattice,
-    _lift_gens,
     make_vertex,
+    neighbour,
 )
 from .fqlin import (
     echelon_subspaces,
-    gaussian_binomial,
     image_rows,
     kernel_basis,
     mat_mul,
     rref,
     span_contains,
-    span_equal,
 )
 from .hecke import canonical_quotient
 from .polygon import NewtonPolygon, gh_boundary_polygon
@@ -135,7 +131,7 @@ def glue_edge(b: BoundaryComponent) -> GlueResult:
     cell = b.cell
     vtx = cell.vertex
     lat, n, p = vtx.lat, vtx.n, vtx.p
-    far = Lattice.from_cols(p, _lift_gens(lat, b.subspace), lat.k + 1)
+    far = neighbour(lat, b.subspace).scale(-1)
 
     fwd = [far.solve_coords(col, lat.k) for col in lat.H]   # B'^{-1} B
     bwd = [lat.solve_coords(col, far.k) for col in far.H]   # B^{-1} B'
@@ -153,7 +149,7 @@ def glue_edge(b: BoundaryComponent) -> GlueResult:
     if len(star) != n - b.rank:
         raise ArithmeticError("transition image has wrong dimension")
 
-    far_vertex = make_vertex(far, vtx.h + EDGE_HEIGHT_SIGN * b.rank)
+    far_vertex = make_vertex(far, vtx.h + b.rank)
     far_cell = Cell(far_vertex, cell.level, cell.quotient_image(b.rank))
     return GlueResult(BoundaryComponent(far_cell, n - b.rank, star), T)
 

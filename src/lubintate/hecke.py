@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .polygon import (
     NewtonPolygon,
-    _lower_hull,
     boundary_indices,
     in_gross_hopkins,
     in_H,
@@ -79,19 +78,22 @@ class IsogenyStep:
 def _division_profile(poly: NewtonPolygon, b: Fraction):
     """Valuations of the q^n solutions of [pi](y) = z with v(z) = b.
 
-    Lower hull of (0, b) and the polygon's vertices; a hull segment of
-    width w and descent slope s contributes w roots of valuation s.
+    The lower hull of (0, b) and the polygon's vertices (q^t, v_t) joins the
+    polygon at the last t maximising (b - v_t) / q^t and then follows its
+    slopes; a hull segment of width w and descent slope s contributes w
+    roots of valuation s.
     """
-    points = [(Fraction(0), Fraction(b))] + [
-        (Fraction(x), y) for x, y in poly.vertex_points()
-    ]
-    hull = _lower_hull(points)
-    roots = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        width = x2 - x1
-        slope = (y1 - y2) / width
-        if width:
-            roots.append((slope, int(width)))
+    q, vv = poly.q, poly.vertex_vals
+    descents = [(b - vv[t]) / q ** t for t in range(poly.n + 1)]
+    top = max(descents)
+    t = max(i for i, d in enumerate(descents) if d == top)
+    roots = [(top, q ** t)]
+    for j in range(t + 1, poly.n + 1):
+        s, w = poly.slopes[j - 1], q ** j - q ** (j - 1)
+        if s == roots[-1][0]:
+            roots[-1] = (s, roots[-1][1] + w)
+        else:
+            roots.append((s, w))
     return roots
 
 

@@ -42,16 +42,10 @@ def _ring_for(ring: RamifiedRing | None, q: int) -> RamifiedRing:
 
 @dataclass(frozen=True)
 class DisplayMatrices:
-    """Structure matrices of the display: A = C B.
-
-    f_shape is the support pattern shared by A and the Frobenius operator
-    matrix of the display: the full first row plus the subdiagonal.
-    """
+    """Structure matrix A of the display and its constant part B (A at x = 0)."""
 
     A: SeriesMatrix
     B: SeriesMatrix
-    C: SeriesMatrix
-    f_shape: frozenset
 
 
 def display_matrices(n: int, q: int, cap: int, ring: RamifiedRing | None = None) -> DisplayMatrices:
@@ -68,7 +62,6 @@ def display_matrices(n: int, q: int, cap: int, ring: RamifiedRing | None = None)
 
     A = [[zero for _ in range(n)] for _ in range(n)]
     B = [[zero for _ in range(n)] for _ in range(n)]
-    C = [[one if i == j else zero for j in range(n)] for i in range(n)]
 
     A[0][0] = x(1)
     for j in range(1, n - 1):
@@ -80,11 +73,7 @@ def display_matrices(n: int, q: int, cap: int, ring: RamifiedRing | None = None)
     for i in range(2, n):
         A[i][i - 1] = pi
         B[i][i - 1] = pi
-    for j in range(1, n):
-        C[0][j] = x(j)
-
-    shape = frozenset({(0, j) for j in range(n)} | {(i, i - 1) for i in range(1, n)})
-    return DisplayMatrices(SeriesMatrix(A), SeriesMatrix(B), SeriesMatrix(C), shape)
+    return DisplayMatrices(SeriesMatrix(A), SeriesMatrix(B))
 
 
 def b_inverse(n: int, cap: int, ring: RamifiedRing | None = None) -> SeriesMatrix:
@@ -238,24 +227,11 @@ def cf2_convention(q: int, depth: int = 1, ring: RamifiedRing | None = None) -> 
         raise ValueError("convention check needs depth >= 1")
     ring = _ring_for(ring, q)
     cap = q ** (2 * depth)
-    guard, cf, pt = _guarded_cf2(q, depth, 2 * depth, ring, cap=cap)
+    cf, pt = _guarded_cf2(q, depth, 2 * depth, ring, cap=cap)
     f0, f1 = pt.f
-    bound = Val(Fraction(ring.N))
-
-    def as_laurent(series):
-        if series.is_zero:
-            return None
-        d = min(e[0] for e in series.coeffs)
-        unit = TruncSeries(guard, 1, cap, {(e[0] - d,): c for e, c in series.coeffs.items()})
-        return unit, d
-
-    u1, d1 = as_laurent(f1)
-    ratio_a = CF2Value(f0.mul_pi_power(1) * u1.inverse(), -d1)
-    if ratio_a.x_exp == cf.x_exp and _agree_to(ratio_a.series, cf.series, bound):
+    if _cf2_matches(cf, f0.mul_pi_power(1), f1, ring.N):
         return "pi*f0/f1"
-    u0, d0 = as_laurent(f0)
-    ratio_b = CF2Value(f1 * u0.inverse(), -d0)
-    if ratio_b.x_exp == cf.x_exp and _agree_to(ratio_b.series, cf.series, bound):
+    if _cf2_matches(cf, f1, f0, ring.N):
         return "f1/f0"
     raise ArithmeticError("continued fraction matches neither candidate ratio")
 
@@ -277,6 +253,15 @@ def _agree_to(a: TruncSeries, b: TruncSeries, bound: Val) -> bool:
     )
 
 
+def _cf2_matches(cf: CF2Value, num: TruncSeries, den: TruncSeries, N: int) -> bool:
+    """cf = num / den, checked without dividing: cf.series * den equals
+    num * x^(-x_exp) at every coefficient to valuation >= N."""
+    shift = TruncSeries.monomial(
+        num.ring, 1, num.cap, (-cf.x_exp,), LaurentCoeff.one(num.ring)
+    )
+    return _agree_to(cf.series * den, num * shift, Val(Fraction(N)))
+
+
 def _guarded_cf2(q, depth, pt_depth, ring, cap=None):
     """cf2 and period series recomputed with enough guard digits.
 
@@ -295,7 +280,7 @@ def _guarded_cf2(q, depth, pt_depth, ring, cap=None):
         if needed <= guard_digits:
             break
         guard_digits = needed
-    return guard, cf, pt
+    return cf, pt
 
 
 def cf2_cross_check(q: int, depth: int, ring: RamifiedRing | None = None) -> bool:
@@ -306,12 +291,8 @@ def cf2_cross_check(q: int, depth: int, ring: RamifiedRing | None = None) -> boo
     to valuation >= ring.N.
     """
     ring = _ring_for(ring, q)
-    guard, cf, pt = _guarded_cf2(q, depth, depth, ring)
-    lhs = cf.series * pt.f[1]
-    rhs = pt.f[0] * TruncSeries.monomial(
-        guard, 1, pt.cap, (-cf.x_exp,), LaurentCoeff.pi_power(guard, 1)
-    )
-    return _agree_to(lhs, rhs, Val(Fraction(ring.N)))
+    cf, pt = _guarded_cf2(q, depth, depth, ring)
+    return _cf2_matches(cf, pt.f[0].mul_pi_power(1), pt.f[1], ring.N)
 
 
 # ---------------------------------------------------------------------

@@ -20,7 +20,7 @@ from lubintate.building import (
     standard_vertex,
     to_dot,
 )
-from lubintate.fqlin import gaussian_binomial
+from lubintate.fqlin import echelon_subspaces, gaussian_binomial
 from lubintate.valuations import vp
 
 
@@ -172,6 +172,26 @@ def test_edges_up_are_reverse_of_out_edges():
     for w, d in ups:
         # going up by dim d is some far vertex whose own down-edges include a
         assert any(x == a and i == 2 - d for x, i in out_edges(w))
+
+
+def edges_up_oracle(a):
+    """Edges up by Hermite-reducing Lambda + p^(-1) E directly, height h + dim E."""
+    lat, n, p = a.lat, a.n, a.p
+    out = []
+    for d in range(1, n):
+        for rows in echelon_subspaces(n, d, p):
+            gens = [[p * x for x in col] for col in lat.H]
+            for w in rows:
+                gens.append([sum(wk * lat.H[k][r] for k, wk in enumerate(w)) for r in range(n)])
+            sup = Lattice.from_cols(p, gens, lat.k + 1)
+            out.append((make_vertex(sup, a.h + d), d))
+    return out
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_edges_up_matches_direct_reduction(n, p):
+    for a in ball(standard_vertex(p, n), 1):
+        assert edges_up(a) == edges_up_oracle(a)
 
 
 def test_ball_sizes():

@@ -4,10 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from lubintate import cells as C
-from lubintate.building import act, ball, standard_vertex
+from lubintate.building import act, ball, out_edges, standard_vertex
 from lubintate.cells import (
-    BoundaryComponent,
     LevelError,
     assemble_complex,
     boundary_components,
@@ -58,6 +56,17 @@ def test_glue_is_involutive():
         back = glue_edge(res.component)
         assert back.component.cell.vertex == v
         assert rref(back.component.subspace, 3)[0] == rref(comp.subspace, 3)[0]
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_glue_far_vertex_is_an_edge_neighbour(n, p):
+    # Lambda + p^(-1) E is p^(-1) (p Lambda + E): the out_edges vertex of label n - rank
+    for v in ball(standard_vertex(p, n), 1):
+        down = set(out_edges(v))
+        cell = make_cell(v, 2)
+        for rank in range(1, n):
+            for comp in boundary_components(cell, rank):
+                assert (glue_edge(comp).component.cell.vertex, n - rank) in down
 
 
 def test_glue_updates_constraint_by_quotient():

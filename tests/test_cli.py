@@ -191,6 +191,17 @@ def test_domain_error_exits_one(capsys):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("building", "--n", "2", "--p", "3", "--radius", "-1"),
+    ("cells", "complex", "--n", "2", "--p", "2", "--radius", "-2"),
+])
+def test_negative_radius_exits_one(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: radius must be >= 0")
+
+
 @pytest.mark.parametrize("max_n", ("0", "-1"))
 def test_witt_selftest_rejects_max_n_below_one(capsys, max_n):
     code = main(["witt", "selftest", "--max-n", max_n])

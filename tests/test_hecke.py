@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lubintate import hecke
 from lubintate.hecke import (
@@ -17,6 +19,7 @@ from lubintate.hecke import (
     reduce_to_domain,
 )
 from lubintate.polygon import (
+    _lower_hull,
     cm_polygon,
     gh_boundary_polygon,
     in_gross_hopkins,
@@ -148,3 +151,53 @@ def test_distinctness_certificate():
     not_h = polygon_from_vals(2, 2, [Fraction(1, 3)])
     with pytest.raises(ValueError, match="H"):
         distinctness_certificate(not_h, KernelType((1, 1)))
+
+
+# ---------------------------------------------------------------------
+# hull oracle for the division profile
+# ---------------------------------------------------------------------
+
+def division_profile_oracle(poly, b):
+    """Lower hull of (0, b) and the polygon's vertices, rebuilt from scratch."""
+    points = [(Fraction(0), Fraction(b))] + [
+        (Fraction(x), y) for x, y in poly.vertex_points()
+    ]
+    hull = _lower_hull(points)
+    roots = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        width = x2 - x1
+        slope = (y1 - y2) / width
+        if width:
+            roots.append((slope, int(width)))
+    return roots
+
+
+_RATS = st.fractions(min_value=Fraction(1, 64), max_value=3, max_denominator=64)
+
+
+@st.composite
+def polygons(draw):
+    n = draw(st.integers(2, 6))
+    q = draw(st.sampled_from((2, 3, 4, 5, 7)))
+    vals = draw(st.lists(st.one_of(st.just(INF), _RATS), min_size=n - 1, max_size=n - 1))
+    return polygon_from_vals(n, q, vals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly=polygons(), data=st.data())
+def test_division_profile_matches_hull_oracle(poly, data):
+    slope = st.sampled_from(poly.slopes)
+    b = data.draw(st.one_of(slope, st.builds(lambda s, r: s * r, slope, _RATS), _RATS))
+    assert hecke._division_profile(poly, b) == division_profile_oracle(poly, b)
+
+
+def test_division_profile_matches_hull_oracle_on_cm_polygons():
+    # equal slopes inside a block: the hull merges them into one segment
+    fixed = {Fraction(1, 7), Fraction(1, 2), Fraction(1), Fraction(2)}
+    for n in range(2, 7):
+        for q in (2, 3, 4, 5, 7):
+            for e in (e for e in range(1, n + 1) if n % e == 0):
+                poly = cm_polygon(n, q, e)
+                for b in set(poly.slopes) | fixed:
+                    want = division_profile_oracle(poly, b)
+                    assert hecke._division_profile(poly, b) == want, (n, q, e, b)

@@ -12,13 +12,12 @@ from lubintate.periods import (
     cf2_convention,
     default_coeff_ring,
     evaluate_periods,
-    period_cf2,
     period_series,
     period_series_product,
 )
 from lubintate.polygon import vals_in_H
 from lubintate.series import TruncSeries
-from lubintate.valuations import INF, LaurentCoeff, RamifiedRing
+from lubintate.valuations import INF, LaurentCoeff, RamifiedRing, Val
 
 
 def test_recurrence_equals_matrix_product():
@@ -71,6 +70,38 @@ def test_cf2_cross_multiplication():
 def test_cf2_convention_label():
     assert cf2_convention(2) == "pi*f0/f1"
     assert cf2_convention(3) == "pi*f0/f1"
+
+
+def cf2_label_by_division(cf, pt, N):
+    """Convention oracle: divide out each candidate ratio as a Laurent series."""
+    f0, f1 = pt.f
+    bound = Val(Fraction(N))
+
+    def as_laurent(series):
+        d = min(e[0] for e in series.coeffs)
+        unit = TruncSeries(series.ring, 1, series.cap,
+                           {(e[0] - d,): c for e, c in series.coeffs.items()})
+        return unit, d
+
+    u1, d1 = as_laurent(f1)
+    ratio_a = f0.mul_pi_power(1) * u1.inverse()
+    if -d1 == cf.x_exp and periods._agree_to(ratio_a, cf.series, bound):
+        return "pi*f0/f1"
+    u0, d0 = as_laurent(f0)
+    ratio_b = f1 * u0.inverse()
+    if -d0 == cf.x_exp and periods._agree_to(ratio_b, cf.series, bound):
+        return "f1/f0"
+    raise ArithmeticError("continued fraction matches neither candidate ratio")
+
+
+@pytest.mark.parametrize("q, depth", [(2, 1), (2, 2), (2, 3), (2, 4),
+                                      (3, 1), (3, 2), (4, 1), (4, 2)])
+def test_cf2_convention_matches_division_oracle(q, depth):
+    ring = periods._ring_for(None, q)
+    cf, pt = periods._guarded_cf2(q, depth, 2 * depth, ring, cap=q ** (2 * depth))
+    assert cf2_convention(q, depth) == cf2_label_by_division(cf, pt, ring.N)
+    # the other candidate is rejected, so the check tells the two apart
+    assert not periods._cf2_matches(cf, pt.f[1], pt.f[0], ring.N)
 
 
 def test_b_inverse_is_inverse():
