@@ -143,13 +143,6 @@ class Lattice:
         coords = (self.solve_coords(col, other.k) for col in other.H)
         return all(x % self.p ** E == 0 for E, c in coords for x in c)
 
-    def quotient_dim(self, sub: "Lattice") -> int:
-        """dim_{F_p}(self / sub) for sub contained in self with p*self ⊆ sub."""
-        d = sub.det_val - self.det_val
-        if d < 0:
-            raise ValueError("not a sublattice")
-        return d
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Lattice)
@@ -232,15 +225,6 @@ def out_edges(a: BuildingVertex):
             i = n - d
             out.append((make_vertex(neighbour(lat, rows), a.h - i), i))
     return out
-
-
-def edges_up(a: BuildingVertex):
-    """Edges a -> a'': classes of Lambda + p^(-1) E for E in p^(-1)Lambda/Lambda.
-
-    Lambda + p^(-1) E = p^(-1) (p*Lambda + E) and (L, h) ~ (p L, h - n), so
-    these are the out_edges vertices, labelled by dim E = n - i.
-    """
-    return [(w, a.n - i) for w, i in out_edges(a)]
 
 
 def act(g, d_val: int, a: BuildingVertex) -> BuildingVertex:

@@ -19,7 +19,6 @@ about truncated objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .series import SeriesMatrix, TruncSeries
 from .valuations import INF, LaurentCoeff, RamifiedRing, Val, prime_power_split
@@ -176,14 +175,32 @@ class CF2Value:
     x_exp: int
 
 
+def _convergent(q: int, depth: int, cap: int, ring: RamifiedRing):
+    """Numerator and denominator (h, k) of the stage-`depth` convergent.
+
+    Entries x^(q^j), j = 2*depth down to 0, divided by pi for even j, enter
+    the convergent recurrence outermost first; arithmetic is cap-truncated,
+    so the outermost entries vanish once their exponent reaches the cap.
+    """
+    one = TruncSeries.one(ring, 1, cap)
+    zero = TruncSeries.zero(ring, 1, cap)
+    h_prev, h = one, zero          # h_{-1} = 1, h_0 = 0 (leading term is 1/(a_1+...))
+    k_prev, k = zero, one          # k_{-1} = 0, k_0 = 1
+    for j in range(2 * depth, -1, -1):
+        coeff = LaurentCoeff.pi_power(ring, -1 if j % 2 == 0 else 0)
+        a = TruncSeries.monomial(ring, 1, cap, (q ** j,), coeff)
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+    return h, k
+
+
 def period_cf2(q: int, depth: int, cap: int | None = None,
                ring: RamifiedRing | None = None) -> CF2Value:
     """n = 2 period coordinate as a continued fraction.
 
-    Stage k uses entries x^(q^j), j = 2k down to 0, divided by pi for even j,
-    outermost entry first.  Arithmetic is cap-truncated throughout, so the
-    outermost entries vanish once their exponent reaches the cap; the result
-    then agrees with pi f_0 / f_1 computed from period_series at the same cap.
+    The convergent h/k of `_convergent`, with k = x^d * unit divided out
+    as h * unit^(-1) * x^(-d); it agrees with pi f_0 / f_1 computed from
+    period_series at the same cap.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -197,19 +214,7 @@ def period_cf2(q: int, depth: int, cap: int | None = None,
         # hold the monomial x in a denominator, so return it directly
         series = TruncSeries.const(ring, 1, cap, LaurentCoeff.pi_power(ring, 1))
         return CF2Value(series, -1)
-
-    def entry(j):
-        coeff = LaurentCoeff.pi_power(ring, -1 if j % 2 == 0 else 0)
-        return TruncSeries.monomial(ring, 1, cap, (q ** j,), coeff)
-
-    entries = [entry(j) for j in range(2 * depth, -1, -1)]
-    one = TruncSeries.one(ring, 1, cap)
-    zero = TruncSeries.zero(ring, 1, cap)
-    h_prev, h = one, zero          # h_{-1} = 1, h_0 = 0 (leading term is 1/(a_1+...))
-    k_prev, k = zero, one          # k_{-1} = 0, k_0 = 1
-    for a in entries:
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
+    h, k = _convergent(q, depth, cap, ring)
     if k.is_zero:
         raise ValueError("denominator vanished at this cap; increase cap or depth")
     d = min(exps[0] for exps in k.coeffs)
@@ -220,18 +225,18 @@ def period_cf2(q: int, depth: int, cap: int | None = None,
 def cf2_convention(q: int, depth: int = 1, ring: RamifiedRing | None = None) -> str:
     """Which normalization of the period ratio the continued fraction computes.
 
-    Tries pi*f_0/f_1 and f_1/f_0 against period_cf2 at the same cap and
-    returns the label of the match.
+    Cross-multiplies the convergent h/k against pi*f_0/f_1 and f_1/f_0 from
+    period_series at twice the depth (cap q^(2 depth)) and returns the label
+    of the match.
     """
     if depth < 1:
         raise ValueError("convention check needs depth >= 1")
     ring = _ring_for(ring, q)
-    cap = q ** (2 * depth)
-    cf, pt = _guarded_cf2(q, depth, 2 * depth, ring, cap=cap)
+    h, k, pt = _guarded_cf2(q, depth, 2 * depth, ring)
     f0, f1 = pt.f
-    if _cf2_matches(cf, f0.mul_pi_power(1), f1, ring.N):
+    if _cf2_matches(h, k, f0.mul_pi_power(1), f1, ring.N):
         return "pi*f0/f1"
-    if _cf2_matches(cf, f1, f0, ring.N):
+    if _cf2_matches(h, k, f1, f0, ring.N):
         return "f1/f0"
     raise ArithmeticError("continued fraction matches neither candidate ratio")
 
@@ -253,46 +258,43 @@ def _agree_to(a: TruncSeries, b: TruncSeries, bound: Val) -> bool:
     )
 
 
-def _cf2_matches(cf: CF2Value, num: TruncSeries, den: TruncSeries, N: int) -> bool:
-    """cf = num / den, checked without dividing: cf.series * den equals
-    num * x^(-x_exp) at every coefficient to valuation >= N."""
-    shift = TruncSeries.monomial(
-        num.ring, 1, num.cap, (-cf.x_exp,), LaurentCoeff.one(num.ring)
-    )
-    return _agree_to(cf.series * den, num * shift, Val(Fraction(N)))
+def _cf2_matches(h: TruncSeries, k: TruncSeries, num: TruncSeries, den: TruncSeries,
+                 N: int) -> bool:
+    """h/k = num/den, checked without dividing: h * den equals num * k at
+    every coefficient to valuation >= N."""
+    return _agree_to(h * den, num * k, Val(N))
 
 
-def _guarded_cf2(q, depth, pt_depth, ring, cap=None):
-    """cf2 and period series recomputed with enough guard digits.
+def _guarded_cf2(q, depth, pt_depth, ring):
+    """Convergent (h, k) and period tuple at depth pt_depth, with guard digits.
 
     Coefficients live in a fixed window of ring.N digits above their pi
     exponent; adding terms whose pi exponents differ erodes the top of the
-    window, so deep compositions cannot be compared by raw digit equality.
-    Products add pi-exponent floors, so twice the worst single-series span
-    is enough headroom; the loop re-runs once if the first guess was short.
+    window, so the products h * f_1 and f_0 * k need headroom of twice the
+    worst pi-exponent span of their factors.  That span is at most `depth`:
+    every pi^(-1) in h and k comes from an entry x^(q^j) with j even, of
+    which at most `depth` stay below the cap, and every pi^(-1) in f_0 and
+    f_1 comes with an odd recurrence step.  So 2 * depth + 4 guard digits
+    suffice, and a larger span raises.
     """
     guard_digits = 2 * depth + 4
-    for _ in range(2):
-        guard = RamifiedRing(ring.p, ring.m, ring.N + guard_digits)
-        pt = period_series(2, q, pt_depth, cap=cap, ring=guard)
-        cf = period_cf2(q, depth, cap=pt.cap, ring=guard)
-        needed = 2 * _pi_span(cf.series, pt.f[0], pt.f[1]) + 4
-        if needed <= guard_digits:
-            break
-        guard_digits = needed
-    return cf, pt
+    guard = RamifiedRing(ring.p, ring.m, ring.N + guard_digits)
+    pt = period_series(2, q, pt_depth, ring=guard)
+    h, k = _convergent(q, depth, pt.cap, guard)
+    if 2 * _pi_span(h, k, *pt.f) + 4 > guard_digits:
+        raise RuntimeError("pi-exponent span exceeds the cf2 guard digits")
+    return h, k, pt
 
 
 def cf2_cross_check(q: int, depth: int, ring: RamifiedRing | None = None) -> bool:
-    """cf2 * f_1 = pi * f_0 * x^(-x_exp), to the ring's digit precision.
+    """h * f_1 = pi * f_0 * k for the convergent h/k, to the ring's precision.
 
-    The identity is evaluated with guard digits covering the pi-exponent
-    span of every factor, and the two sides must agree at each coefficient
-    to valuation >= ring.N.
+    Both sides are evaluated at cap q^depth with the guard digits of
+    `_guarded_cf2`, and must agree at each coefficient to valuation >= ring.N.
     """
     ring = _ring_for(ring, q)
-    cf, pt = _guarded_cf2(q, depth, depth, ring)
-    return _cf2_matches(cf, pt.f[0].mul_pi_power(1), pt.f[1], ring.N)
+    h, k, pt = _guarded_cf2(q, depth, depth, ring)
+    return _cf2_matches(h, k, pt.f[0].mul_pi_power(1), pt.f[1], ring.N)
 
 
 # ---------------------------------------------------------------------

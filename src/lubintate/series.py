@@ -317,16 +317,3 @@ class SeriesMatrix:
         body = ",\n ".join("[" + ", ".join(repr(s) for s in row) + "]" for row in self.entries)
         return f"SeriesMatrix(\n {body})"
 
-
-def row_times_matrix(row, matrix: SeriesMatrix):
-    """(row vector) . matrix, returning a list of TruncSeries."""
-    row = list(row)
-    if len(row) != matrix.rows:
-        raise ValueError("row length must match matrix row count")
-    out = []
-    for j in range(matrix.cols):
-        acc = TruncSeries.zero(row[0].ring, row[0].nvars, row[0].cap)
-        for k in range(len(row)):
-            acc = acc + row[k] * matrix.entries[k][j]
-        out.append(acc)
-    return out

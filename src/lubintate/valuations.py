@@ -37,15 +37,18 @@ class _Infinity:
 INF = _Infinity()
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+def _least_factor(q: int) -> int:
+    """Least prime factor of q >= 2, by trial division up to sqrt(q)."""
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= q:
+        if q % d == 0:
+            return d
         d += 1
-    return True
+    return q
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and _least_factor(p) == p
 
 
 def vp(x, p: int):
@@ -67,7 +70,7 @@ def prime_power_split(q: int):
     """q = p^f with p prime; returns (p, f) or raises ValueError."""
     if q < 2:
         raise ValueError("q must be a prime power >= 2")
-    p = next(c for c in range(2, q + 1) if q % c == 0)
+    p = _least_factor(q)
     f = vp(q, p)
     if p ** f != q:
         raise ValueError(f"{q} is not a prime power")
@@ -77,8 +80,8 @@ def prime_power_split(q: int):
 class Val:
     """A valuation value: an exact rational or INF.
 
-    Supports addition (INF absorbs), scaling by positive rationals,
-    and total-order comparisons with INF as the maximum.
+    Supports addition (INF absorbs) and total-order comparisons with INF
+    as the maximum.
     """
 
     __slots__ = ("value",)
@@ -107,15 +110,6 @@ class Val:
         return Val(self.value + other.value)
 
     __radd__ = __add__
-
-    def scale(self, c) -> "Val":
-        """Multiply by a positive rational constant (INF stays INF)."""
-        c = Fraction(c)
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        if self.is_inf:
-            return Val(INF)
-        return Val(self.value * c)
 
     def _cmp_key(self):
         # (1, 0) dominates every (0, finite)
@@ -404,10 +398,11 @@ class LaurentCoeff:
     a nonzero coefficient always has valuation exactly 0.
     """
 
-    __slots__ = ("unit", "pi_exp")
+    __slots__ = ("unit", "pi_exp", "is_zero")
 
     def __init__(self, unit: RamifiedElement, pi_exp: int = 0):
         k = unit.u_valuation()
+        self.is_zero = k is None
         if k is None:
             self.unit = unit
             self.pi_exp = 0
@@ -438,10 +433,6 @@ class LaurentCoeff:
     @property
     def ring(self) -> RamifiedRing:
         return self.unit.ring
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.unit.coeffs)
 
     def valuation(self) -> Val:
         if self.is_zero:

@@ -532,19 +532,6 @@ def alternating_inverse(ring, op, x, bound: int = 64):
     raise ArithmeticError("operator not nilpotent within bound")
 
 
-def exp_nilpotent_hom(ring, f, pi_op, bound: int = 64):
-    """Correct a map f by the alternating series of the nilpotent pi_op.
-
-    Returns x -> sum_k (-1)^k pi_op^k(f(x)).  Composing the result with
-    (id + pi_op) recovers f; with pi_op = 0 the correction vanishes and
-    the result is f itself.
-    """
-    def corrected(x):
-        return alternating_inverse(ring, pi_op, f(x), bound)
-
-    return corrected
-
-
 # ---------------------------------------------------------------------
 # Dieudonne data with O-action
 # ---------------------------------------------------------------------

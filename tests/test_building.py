@@ -14,7 +14,7 @@ from lubintate.building import (
     act,
     ball,
     descent,
-    edges_up,
+    lam_dim,
     make_vertex,
     out_edges,
     standard_vertex,
@@ -136,10 +136,10 @@ def test_lattice_containment_and_quotient():
     lat = Lattice.from_cols(2, [[1, 0], [0, 1]])
     sub = Lattice.from_cols(2, [[2, 0], [0, 1]])
     assert lat.contains(sub) and not sub.contains(lat)
-    assert lat.quotient_dim(sub) == 1
-    assert lat.quotient_dim(lat.scale(1)) == 2
-    with pytest.raises(ValueError, match="sublattice"):
-        sub.quotient_dim(lat)
+    assert lam_dim(sub, lat) == 1
+    assert lam_dim(lat.scale(1), lat) == 2
+    with pytest.raises(ValueError, match="not nested"):
+        lam_dim(lat, sub)
 
 
 def test_vertex_normalization():
@@ -167,11 +167,11 @@ def test_out_edges_counts_and_heights():
 
 def test_edges_up_are_reverse_of_out_edges():
     a = standard_vertex(3, 2)
-    ups = edges_up(a)
-    assert len(ups) == gaussian_binomial(2, 1, 3)
-    for w, d in ups:
-        # going up by dim d is some far vertex whose own down-edges include a
-        assert any(x == a and i == 2 - d for x, i in out_edges(w))
+    edges = out_edges(a)
+    assert len(edges) == gaussian_binomial(2, 1, 3)
+    for w, i in edges:
+        # going up from a by dim 2 - i reaches w, whose own down-edges include a
+        assert any(x == a and j == i for x, j in out_edges(w))
 
 
 def edges_up_oracle(a):
@@ -190,8 +190,10 @@ def edges_up_oracle(a):
 
 @pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (3, 3), (4, 2)])
 def test_edges_up_matches_direct_reduction(n, p):
+    # Lambda + p^(-1) E = p^(-1) (p*Lambda + E) and (L, h) ~ (p L, h - n), so the
+    # edges up are the out_edges vertices, labelled by dim E = n - i
     for a in ball(standard_vertex(p, n), 1):
-        assert edges_up(a) == edges_up_oracle(a)
+        assert [(w, n - i) for w, i in out_edges(a)] == edges_up_oracle(a)
 
 
 def test_ball_sizes():

@@ -16,7 +16,7 @@ from lubintate.periods import (
     period_series_product,
 )
 from lubintate.polygon import vals_in_H
-from lubintate.series import TruncSeries
+from lubintate.series import SeriesMatrix, TruncSeries
 from lubintate.valuations import INF, LaurentCoeff, RamifiedRing, Val
 
 
@@ -94,14 +94,51 @@ def cf2_label_by_division(cf, pt, N):
     raise ArithmeticError("continued fraction matches neither candidate ratio")
 
 
+def _division_ring(q, depth, cap):
+    """A ring with guard digits for dividing by the convergent denominator:
+    twice the pi-exponent span of period_cf2 at the default ring, plus 4."""
+    base = periods._ring_for(None, q)
+    span = periods._pi_span(periods.period_cf2(q, depth, cap=cap, ring=base).series)
+    return RamifiedRing(base.p, 1, base.N + 2 * span + 4)
+
+
 @pytest.mark.parametrize("q, depth", [(2, 1), (2, 2), (2, 3), (2, 4),
                                       (3, 1), (3, 2), (4, 1), (4, 2)])
 def test_cf2_convention_matches_division_oracle(q, depth):
     ring = periods._ring_for(None, q)
-    cf, pt = periods._guarded_cf2(q, depth, 2 * depth, ring, cap=q ** (2 * depth))
-    assert cf2_convention(q, depth) == cf2_label_by_division(cf, pt, ring.N)
+    h, k, pt = periods._guarded_cf2(q, depth, 2 * depth, ring)
+    wide = _division_ring(q, depth, pt.cap)
+    cf = periods.period_cf2(q, depth, cap=pt.cap, ring=wide)
+    oracle_pt = period_series(2, q, 2 * depth, ring=wide)
+    assert cf2_convention(q, depth) == cf2_label_by_division(cf, oracle_pt, ring.N)
     # the other candidate is rejected, so the check tells the two apart
-    assert not periods._cf2_matches(cf, pt.f[1], pt.f[0], ring.N)
+    assert not periods._cf2_matches(h, k, pt.f[1], pt.f[0], ring.N)
+
+
+@pytest.mark.parametrize("q, depth", [(2, 1), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
+def test_period_cf2_times_denominator_unit_is_the_numerator(q, depth):
+    # period_cf2 = h * (k / x^d)^(-1) * x^(-d), so multiplying back by k / x^d gives h
+    base = periods._ring_for(None, q)
+    wide = _division_ring(q, depth, None)
+    cf = periods.period_cf2(q, depth, ring=wide)
+    cap = cf.series.cap
+    h, k = periods._convergent(q, depth, cap, wide)
+    assert min(k.coeffs)[0] == -cf.x_exp
+    unit = TruncSeries(wide, 1, cap, {(e[0] + cf.x_exp,): c for e, c in k.coeffs.items()})
+    assert periods._agree_to(cf.series * unit, h, Val(base.N))
+
+
+_SPAN_GRID = [(q, depth, pt_depth) for q in (2, 3, 4, 5, 7, 8, 9) for depth in (1, 2, 3, 4)
+              for pt_depth in (depth, 2 * depth)]
+
+
+@pytest.mark.parametrize("q, depth, pt_depth", _SPAN_GRID)
+def test_cf2_guard_covers_the_pi_span(q, depth, pt_depth):
+    # _guarded_cf2 holds 2 * depth + 4 guard digits, enough for a span <= depth
+    ring = periods._ring_for(None, q)
+    pt = period_series(2, q, pt_depth, ring=ring)
+    h, k = periods._convergent(q, depth, pt.cap, ring)
+    assert periods._pi_span(h, k, *pt.f) <= depth
 
 
 def test_b_inverse_is_inverse():
@@ -109,12 +146,7 @@ def test_b_inverse_is_inverse():
     cap = 8
     mats = periods.display_matrices(2, 2, cap, ring=R)
     binv = b_inverse(2, cap, ring=R)
-    one = TruncSeries.one(R, 1, cap)
-    zero = TruncSeries.zero(R, 1, cap)
-    from lubintate.series import row_times_matrix
-    for i in range(2):
-        row = row_times_matrix(mats.B.entries[i], binv)
-        assert list(row) == [one if i == j else zero for j in range(2)]
+    assert mats.B * binv == SeriesMatrix.identity(R, 2, 1, cap)
 
 
 def test_evaluate_periods_exact_when_precision_suffices():

@@ -1,6 +1,7 @@
 """Exact digit arithmetic and valuation bookkeeping."""
 
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given
@@ -27,13 +28,6 @@ def test_val_ordering_and_inf():
     assert Val(Fraction(1, 3)) + Val(Fraction(1, 6)) == Val(Fraction(1, 2))
 
 
-def test_val_scale_positive_only():
-    assert Val(Fraction(2, 3)).scale(3) == Val(2)
-    assert Val(INF).scale(5).is_inf
-    with pytest.raises(ValueError):
-        Val(Fraction(1)).scale(0)
-
-
 def test_frac_json():
     assert frac_json(Val(Fraction(3, 4))) == {"num": 3, "den": 4}
     assert frac_json(Fraction(-2)) == {"num": -2, "den": 1}
@@ -54,6 +48,14 @@ def test_prime_power_split():
         prime_power_split(6)
     with pytest.raises(ValueError):
         prime_power_split(1)
+
+
+def test_prime_power_split_is_sqrt_trial_division():
+    # a scan of every c up to q takes minutes on the Mersenne prime 2^31 - 1
+    start = perf_counter()
+    assert prime_power_split(2 ** 31 - 1) == (2 ** 31 - 1, 1)
+    assert prime_power_split(3 ** 19) == (3, 19)
+    assert perf_counter() - start < 1.0
 
 
 def test_ring_requires_prime():
