@@ -37,7 +37,7 @@ from .fqlin import (
 )
 from .hecke import canonical_quotient
 from .polygon import NewtonPolygon, gh_boundary_polygon
-from .valuations import vp
+from .valuations import sum_terms, vp
 
 
 class LevelError(ValueError):
@@ -233,10 +233,7 @@ class CellComplex:
         )
 
     def dangling_counts(self):
-        counts = {}
-        for ci, _, _ in self.dangling:
-            counts[ci] = counts.get(ci, 0) + 1
-        return list(counts.values())
+        return list(sum_terms((ci, 1) for ci, _, _ in self.dangling).values())
 
     def to_json_dict(self):
         return {

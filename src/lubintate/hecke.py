@@ -29,7 +29,7 @@ from .polygon import (
     in_gross_hopkins,
     in_H,
 )
-from .valuations import INF, Val
+from .valuations import INF, Val, sum_terms
 
 
 class NonGenericCollision(ValueError):
@@ -148,25 +148,16 @@ def canonical_quotient(poly: NewtonPolygon, i: int) -> IsogenyStep:
     lam_i = poly.slopes[i - 1]
     qi = q ** i
 
-    kernel = [(Val(INF), 1)]
-    by_value = {}
-    for j in range(1, i + 1):
-        lam = poly.slopes[j - 1]
-        by_value[lam] = by_value.get(lam, 0) + (q ** j - q ** (j - 1))
-    for v in sorted(by_value, reverse=True):
-        kernel.append((Val(v), by_value[v]))
+    by_value = sum_terms((poly.slopes[j - 1], q ** j - q ** (j - 1)) for j in range(1, i + 1))
+    kernel = [(Val(INF), 1)] + [(Val(v), by_value[v]) for v in sorted(by_value, reverse=True)]
 
-    image = {}
-
-    def add(value, mult):
-        image[value] = image.get(value, 0) + mult
-
+    pairs = []
     # type A: surviving pi-torsion strata
     for j in range(i + 1, n + 1):
         mult = q ** j - q ** (j - 1)
         if mult % qi:
             raise NonGenericCollision("type A multiplicity not divisible by q^i")
-        add(poly.slopes[j - 1] * qi, mult // qi)
+        pairs.append((poly.slopes[j - 1] * qi, mult // qi))
 
     # type B: new torsion above each nonzero kernel point
     for b, m_b in by_value.items():
@@ -177,9 +168,9 @@ def canonical_quotient(poly: NewtonPolygon, i: int) -> IsogenyStep:
                 )
             if (w * m_b) % qi:
                 raise NonGenericCollision("type B multiplicity not divisible by q^i")
-            add(r * qi, (w * m_b) // qi)
+            pairs.append((r * qi, (w * m_b) // qi))
 
-    values = tuple(sorted(image.items(), key=lambda t: t[0], reverse=True))
+    values = tuple(sorted(sum_terms(pairs).items(), key=lambda t: t[0], reverse=True))
     new_poly = _polygon_from_value_multiset(n, q, values)
     # conservation: the image profile carries total mass 1 by construction
     mass = sum(v * m for v, m in values)
@@ -197,13 +188,12 @@ def boundary_quotient_profile(poly: NewtonPolygon, i: int):
         raise ValueError("rank i out of range")
     if not in_gross_hopkins(poly):
         raise ValueError("closed form is only valid on the good domain")
-    out = {}
-    for j in range(i + 1, n + 1):
-        v = poly.slopes[j - 1] * q ** i
-        out[v] = out.get(v, 0) + (q ** j - q ** (j - 1)) // q ** i
-    for j in range(1, i + 1):
-        v = poly.slopes[j - 1] / q ** (n - i)
-        out[v] = out.get(v, 0) + (q ** j - q ** (j - 1)) * q ** (n - i)
+    up, down = q ** i, q ** (n - i)
+    pairs = [(poly.slopes[j - 1] * up, (q ** j - q ** (j - 1)) // up)
+             for j in range(i + 1, n + 1)]
+    pairs += [(poly.slopes[j - 1] / down, (q ** j - q ** (j - 1)) * down)
+              for j in range(1, i + 1)]
+    out = sum_terms(pairs)
     return tuple(sorted(out.items(), key=lambda t: t[0], reverse=True))
 
 

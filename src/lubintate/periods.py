@@ -154,7 +154,8 @@ def period_series_product(n: int, q: int, depth: int, cap: int | None = None,
     ring = _ring_for(ring, q)
     cap = cap if cap is not None else max(q ** depth, 1)
     disp = display_matrices(n, q, cap, ring)
-    M = SeriesMatrix.identity(ring, n, n - 1, cap)
+    one, zero = TruncSeries.one(ring, n - 1, cap), TruncSeries.zero(ring, n - 1, cap)
+    M = SeriesMatrix([[one] + [zero] * (n - 1)])
     for j in range(depth):
         M = M * disp.A.frobenius_twist(q, j)
     Binv = b_inverse(n, cap, ring)
@@ -292,6 +293,8 @@ def cf2_cross_check(q: int, depth: int, ring: RamifiedRing | None = None) -> boo
     Both sides are evaluated at cap q^depth with the guard digits of
     `_guarded_cf2`, and must agree at each coefficient to valuation >= ring.N.
     """
+    if depth < 1:
+        raise ValueError("cross check needs depth >= 1")
     ring = _ring_for(ring, q)
     h, k, pt = _guarded_cf2(q, depth, depth, ring)
     return _cf2_matches(h, k, pt.f[0].mul_pi_power(1), pt.f[1], ring.N)

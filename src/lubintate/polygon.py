@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .valuations import Val, frac_json, prime_power_split
+from .valuations import Val, frac_json, prime_power_split, sum_terms
 
 
 def _as_val(v) -> Val:
@@ -250,12 +250,11 @@ def torsion_valuations(poly: NewtonPolygon, k: int):
     if not in_H(poly):
         raise ValueError("torsion profile formula requires the polygon in H")
     q, n = poly.q, poly.n
-    acc = {}
-    for m in range(1, k + 1):
-        scale = q ** (n * (m - 1))
-        for j, lam in enumerate(poly.slopes, start=1):
-            v = lam / scale
-            acc[v] = acc.get(v, 0) + (q ** j - q ** (j - 1)) * scale
+    acc = sum_terms(
+        (lam / scale, (q ** j - q ** (j - 1)) * scale)
+        for scale in (q ** (n * (m - 1)) for m in range(1, k + 1))
+        for j, lam in enumerate(poly.slopes, start=1)
+    )
     return [(Val(v), acc[v]) for v in sorted(acc, reverse=True)]
 
 

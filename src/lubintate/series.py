@@ -9,9 +9,10 @@ over one shared RamifiedRing.  Zero coefficients are never stored.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add, sub
 
-from .valuations import LaurentCoeff, RamifiedRing
+from .valuations import LaurentCoeff, RamifiedRing, sum_terms
 
 
 class TruncSeries:
@@ -25,24 +26,16 @@ class TruncSeries:
         self.ring = ring
         self.nvars = nvars
         self.cap = cap
-        clean = {}
+        terms = []
         for exps, c in (coeffs or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars:
                 raise ValueError("exponent vector has wrong length")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponents are not supported")
-            if any(e >= cap for e in exps):
-                continue
-            if c.is_zero:
-                continue
-            if exps in clean:
-                c = clean[exps] + c
-                if c.is_zero:
-                    del clean[exps]
-                    continue
-            clean[exps] = c
-        self.coeffs = clean
+            if max(exps) < cap:
+                terms.append((exps, c))
+        self.coeffs = sum_terms(terms)
 
     @classmethod
     def _clean(cls, ring, nvars, cap, coeffs) -> "TruncSeries":
@@ -107,16 +100,7 @@ class TruncSeries:
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._compat(other)
-        out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            if exps in out:
-                s = out[exps] + c
-                if s.is_zero:
-                    del out[exps]
-                else:
-                    out[exps] = s
-            else:
-                out[exps] = c
+        out = sum_terms(chain(self.coeffs.items(), other.coeffs.items()))
         return TruncSeries._clean(self.ring, self.nvars, self.cap, out)
 
     def __neg__(self) -> "TruncSeries":
@@ -131,19 +115,12 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._compat(other)
         cap = self.cap
-        out = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                exps = tuple(map(add, ea, eb))
-                if max(exps) >= cap:
-                    continue
-                c = ca * cb
-                if exps in out:
-                    c = out[exps] + c
-                if c.is_zero:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = c
+        out = sum_terms(
+            (exps, ca * cb)
+            for ea, ca in self.coeffs.items()
+            for eb, cb in other.coeffs.items()
+            if max(exps := tuple(map(add, ea, eb))) < cap
+        )
         return TruncSeries._clean(self.ring, self.nvars, self.cap, out)
 
     def scale(self, coeff: LaurentCoeff) -> "TruncSeries":
@@ -212,17 +189,11 @@ class TruncSeries:
         if i < 0:
             raise ValueError("twist power must be >= 0")
         s = q ** i
-        out = {}
-        for exps, c in self.coeffs.items():
-            new = tuple(e * s for e in exps)
-            if any(e >= self.cap for e in new):
-                continue
-            if new in out:
-                c = out[new] + c
-                if c.is_zero:
-                    del out[new]
-                    continue
-            out[new] = c
+        out = sum_terms(
+            (new, c)
+            for exps, c in self.coeffs.items()
+            if max(new := tuple(e * s for e in exps)) < self.cap
+        )
         return TruncSeries._clean(self.ring, self.nvars, self.cap, out)
 
     def to_json_dict(self):
@@ -287,20 +258,17 @@ class SeriesMatrix:
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = TruncSeries.zero(
-                    self.entries[0][0].ring,
-                    self.entries[0][0].nvars,
-                    self.entries[0][0].cap,
-                )
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return SeriesMatrix(out)
+        first = self.entries[0][0]
+        shape = (first.ring, first.nvars, first.cap)
+
+        def entry(row, j):
+            # a_1 b_1 + a_2 b_2 + ... left to right per exponent: LaurentCoeff
+            # addition is not associative bit for bit under cancellation
+            products = (a * other.entries[k][j] for k, a in enumerate(row))
+            return TruncSeries._clean(
+                *shape, sum_terms(chain.from_iterable(t.coeffs.items() for t in products)))
+
+        return SeriesMatrix([[entry(row, j) for j in range(other.cols)] for row in self.entries])
 
     def frobenius_twist(self, q: int, i: int = 1) -> "SeriesMatrix":
         return SeriesMatrix(

@@ -18,6 +18,9 @@ together with an integer power of pi, so series coefficients like pi^(-2)*u
 stay exact.  Renormalization after cancellation trusts the digits above the
 cancelled range, so precision N should be chosen with headroom over the
 valuations one intends to read off.
+
+`sum_terms` is the one helper that sums sparse (key, value) terms by key:
+series coefficients, Witt-law coefficients and valuation multisets.
 """
 
 from __future__ import annotations
@@ -64,6 +67,25 @@ def vp(x, p: int):
         den //= p
         v -= 1
     return v
+
+
+def sum_terms(pairs) -> dict:
+    """Sum (key, value) pairs by key into a dict, dropping zero sums.
+
+    Each key keeps a running sum, taken left to right, in first-seen key
+    order; a key whose running sum becomes zero is dropped (and re-enters
+    at the end if it recurs).  Values need `+` and a truth value that is
+    False exactly for zero: ints, Fractions and LaurentCoeff all qualify.
+    """
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            value = out[key] + value
+        if value:
+            out[key] = value
+        else:
+            out.pop(key, None)
+    return out
 
 
 def prime_power_split(q: int):
@@ -294,10 +316,11 @@ class RamifiedElement:
         R = self.ring
         if self.coeffs[0] % R.p == 0:
             raise ValueError("not a unit: valuation is positive (or infinite)")
-        b = R.from_int(pow(self.coeffs[0], -1, R.p))
+        # exact when m = 1; otherwise the error 1 - ab has valuation >= 1/m
+        b = R.from_int(pow(self.coeffs[0], -1, R.mod))
         two = R.from_int(2)
         one = R.one()
-        # the error 1 - ab has valuation >= 1/m and doubles each step
+        # the error valuation doubles each step
         for _ in range((R.m * R.N).bit_length() + 2):
             ab = self * b
             if ab == one:
@@ -433,6 +456,9 @@ class LaurentCoeff:
     @property
     def ring(self) -> RamifiedRing:
         return self.unit.ring
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
 
     def valuation(self) -> Val:
         if self.is_zero:

@@ -7,18 +7,21 @@ polynomial is a dict {(pi_exp, mono): c}: pi_exp is an integer, possibly
 negative, mono is a name-sorted tuple of (variable name, exponent >= 1)
 pairs and c is a nonzero int (a Fraction only for rational scalars).
 Ghost solving divides only by powers of pi, which shifts pi_exp, so the
-coefficients stay integers.  The helpers below return new dicts and drop
-zero coefficients, so two polynomials are equal exactly when their dicts
-are.
+coefficients stay integers.  The helpers below return new dicts, summed
+by `valuations.sum_terms`, which drops zero coefficients, so two
+polynomials are equal exactly when their dicts are.
 
 Over a torsion-free ring the ghost map is injective, so every operator
 identity below (sum, product, Frobenius, Verschiebung, Teichmueller) is
 certified by comparing ghost images.  Integrality of the solved
 polynomials cannot be read off term by term (distinct pi-powers of one
 monomial can be non-integral separately yet integral combined once
-pi^e = p); it is certified per monomial by folding the Laurent coefficient
-in pi under pi^e = p for each small ramification index e and checking the
-resulting valuation.
+pi^e = p).  It is certified in integers for each small ramification
+index e: writing k = m*e + r with 0 <= r < e and taking one shift M >= 0
+per polynomial (the least with m + M >= 0 for all its terms), the term
+c * pi^k * mono is folded into the integer slot (mono, r) as c * p^(m + M).
+A slot a stands for (a / p^M) * pi^r, so the polynomial is integral
+exactly when v_p(a) >= M for every slot.
 
 The divided-power side: an ideal J with an operation gamma satisfying
 pi*gamma(x) = x^q, gamma(ax) = a^q gamma(x), and the binomial addition rule
@@ -36,37 +39,30 @@ from fractions import Fraction
 from math import comb
 
 from .fqlin import rational_inverse
-from .valuations import prime_power_split, vp
+from .valuations import prime_power_split, sum_terms, vp
+
+# ramification indices e at which check_o_integrality folds pi^e = p
+RAM_INDICES = (1, 2, 3, 4, 5, 6)
+
 
 def _var(name: str) -> dict:
     return {(0, ((name, 1),)): 1}
 
 
-def _collect(items) -> dict:
-    """Sum (term, coefficient) pairs into a polynomial, dropping zeros."""
-    out: dict = {}
-    for t, c in items:
-        out[t] = out.get(t, 0) + c
-    return {t: c for t, c in out.items() if c}
-
-
 def _add(a: dict, b: dict, sign: int = 1) -> dict:
     """a + sign*b."""
-    return _collect(itertools.chain(a.items(), ((t, sign * c) for t, c in b.items())))
+    return sum_terms(itertools.chain(a.items(), ((t, sign * c) for t, c in b.items())))
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return a or b
-    powers = dict(a)
-    for name, e in b:
-        powers[name] = powers.get(name, 0) + e
-    return tuple(sorted(powers.items()))
+    return tuple(sorted(sum_terms(a + b).items()))
 
 
 def _mul(a: dict, b: dict) -> dict:
-    return _collect(((ka + kb, _mono_mul(ma, mb)), ca * cb)
-                    for (ka, ma), ca in a.items() for (kb, mb), cb in b.items())
+    return sum_terms(((ka + kb, _mono_mul(ma, mb)), ca * cb)
+                     for (ka, ma), ca in a.items() for (kb, mb), cb in b.items())
 
 
 def _pow(a: dict, n: int) -> dict:
@@ -89,7 +85,7 @@ def _subs(poly: dict, env: dict) -> dict:
         for name, e in mono:
             term = _mul(term, _pow(env[name], e))
         terms.extend(term.items())
-    return _collect(terms)
+    return sum_terms(terms)
 
 
 def _fmt(poly: dict) -> str:
@@ -111,17 +107,17 @@ def _fmt(poly: dict) -> str:
     return " ".join(parts) or "0"
 
 
-def _fold(poly: dict, p: int, e: int) -> dict:
-    """{mono: {r: a_r}}: each Laurent coefficient folded under pi^e = p.
+def _fold(poly: dict, p: int, e: int):
+    """(M, {(mono, r): a}): the Laurent coefficients folded under pi^e = p.
 
-    pi^k = p^m * pi^r with k = m*e + r and 0 <= r < e; zero slots drop.
+    pi^k = p^m * pi^r with k = m*e + r and 0 <= r < e.  One shift M >= 0,
+    the least with m + M >= 0 for every term, scales the whole polynomial:
+    slot (mono, r) holds a = sum of c * p^(m + M), an integer when the c
+    are, and stands for (a / p^M) * pi^r * mono.  Zero slots drop.
     """
-    out: dict = {}
-    for (k, mono), c in poly.items():
-        m, r = divmod(k, e)
-        slots = out.setdefault(mono, {})
-        slots[r] = slots.get(r, 0) + c * Fraction(p) ** m
-    return {mono: {r: a for r, a in slots.items() if a} for mono, slots in out.items()}
+    terms = [(divmod(k, e), mono, c) for (k, mono), c in poly.items()]
+    M = max([0] + [-m for (m, _), _, _ in terms])
+    return M, sum_terms(((mono, r), c * p ** (m + M)) for (m, r), mono, c in terms)
 
 
 def _ghost(vec, q: int, i: int) -> dict:
@@ -138,7 +134,6 @@ class WittLaw:
     N: int
     q: int
     p: int
-    f: int
     xs: tuple          # variable names
     ys: tuple
     ws: tuple          # N+1 names, domain of Frobenius
@@ -160,7 +155,7 @@ def _solve_from_ghosts(q: int, targets):
 
 
 def witt_structure_polys(N: int, q: int) -> WittLaw:
-    p, f = prime_power_split(q)
+    p, _ = prime_power_split(q)
     xs, ys, ws = (tuple(f"{c}{i}" for i in range(n))
                   for c, n in (("x", N), ("y", N), ("w", N + 1)))
     X, Y, W = ([_var(name) for name in names] for names in (xs, ys, ws))
@@ -168,26 +163,27 @@ def witt_structure_polys(N: int, q: int) -> WittLaw:
     sums = _solve_from_ghosts(q, [_add(a, b) for a, b in zip(gx, gy)])
     prods = _solve_from_ghosts(q, [_mul(a, b) for a, b in zip(gx, gy)])
     frobs = _solve_from_ghosts(q, [_ghost(W, q, i + 1) for i in range(N)])
-    return WittLaw(N, q, p, f, xs, ys, ws, tuple(sums), tuple(prods), tuple(frobs))
+    return WittLaw(N, q, p, xs, ys, ws, tuple(sums), tuple(prods), tuple(frobs))
 
 
-def check_o_integrality(law: WittLaw, ram_indices=(1, 2, 3, 4, 5, 6)) -> bool:
+def check_o_integrality(law: WittLaw) -> bool:
     """Every structure polynomial has O-integral coefficients.
 
     The coefficient of each x/y-monomial is a Laurent polynomial
     sum_k c_k * pi^k.  Termwise v_p(c_k) >= -k is too strong: the N = 3
     addition law contains -6*pi^-2 - 4*pi^-3 on x0^2*y0^2, integral for
     every ramification index only in combination.  So for each e in
-    ram_indices the coefficient is folded via pi^e = p into slots
-    a_0..a_{e-1}, and integrality means min over nonzero slots of
-    e*v_p(a_r) + r >= 0.  No cancellation hides across slots since their
-    pi-exponents differ mod e.
+    RAM_INDICES the polynomial is folded via pi^e = p (`_fold`) into
+    integer slots a with value (a / p^M) * pi^r, 0 <= r < e.  No
+    cancellation hides across slots, since their pi-exponents differ
+    mod e, so integrality means e * v_p(a / p^M) + r >= 0 for every slot;
+    as 0 <= r < e that is v_p(a) >= M.
     """
     for poly in law.sum_polys + law.prod_polys + law.frob_polys:
-        for e in ram_indices:
-            for slots in _fold(poly, law.p, e).values():
-                if any(e * vp(a, law.p) + r < 0 for r, a in slots.items()):
-                    return False
+        for e in RAM_INDICES:
+            M, slots = _fold(poly, law.p, e)
+            if M and any(vp(a, law.p) < M for a in slots.values()):
+                return False
     return True
 
 
@@ -224,10 +220,9 @@ def teichmueller(law: WittLaw, a):
     return (a,) + ({},) * (law.N - 1)
 
 
-def const_witt(law: WittLaw, c: dict, length: int | None = None):
+def const_witt(law: WittLaw, c: dict):
     """The Witt vector with every ghost component equal to the polynomial c."""
-    n = law.N if length is None else length
-    return tuple(_solve_from_ghosts(law.q, [c] * n))
+    return tuple(_solve_from_ghosts(law.q, [c] * law.N))
 
 
 def verify_fv_is_pi(law: WittLaw) -> bool:
@@ -489,16 +484,16 @@ def eval_expr(expr, ring, env):
     """Evaluate a structure polynomial on ring elements.
 
     env maps variable names to ring elements.  The Laurent coefficient of a
-    monomial is folded under the ring's pi^e = p relation before it goes
-    through ring.o_image: individual terms of an integral coefficient can
-    be non-integral on their own (the N = 3 addition law has such terms),
-    so mapping termwise would raise spuriously.
+    monomial is folded under the ring's pi^e = p relation (`_fold`) before
+    it goes through ring.o_image: individual terms of an integral
+    coefficient can be non-integral on their own (the N = 3 addition law
+    has such terms), so mapping termwise would raise spuriously.  Slot
+    (mono, r) holding a stands for a * pi^(r - e*M).
     """
+    M, slots = _fold(expr, ring.p, ring.e)
     total = ring.zero
-    for mono, slots in _fold(expr, ring.p, ring.e).items():
-        elem = ring.zero
-        for r, a in sorted(slots.items()):
-            elem = ring.add(elem, ring.o_image(a, r))
+    for (mono, r), a in slots.items():
+        elem = ring.o_image(a, r - ring.e * M)
         for name, exp in mono:
             for _ in range(exp):
                 elem = ring.mul(elem, env[name])

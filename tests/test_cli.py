@@ -118,6 +118,14 @@ def test_polygon_hecke_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_witt_selftest_output_is_pinned(capsys):
+    # sha256 of stdout as printed by the Fraction coefficient fold
+    code, out = run(capsys, "witt", "selftest", "--max-n", "3", "--q", "2,3,4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2acc22581a3448f17ca2db945fd47c9814de1125ad3a1bf23d60368e4aa536ba")
+
+
 def test_hecke_reduce_worked_example(capsys):
     d = run_json(capsys, "hecke", "reduce", "--n", "2", "--q", "3",
                  "--vals", "3/10")

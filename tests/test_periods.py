@@ -67,6 +67,14 @@ def test_cf2_cross_multiplication():
             assert periods.cf2_cross_check(q, depth), (q, depth)
 
 
+def test_cf2_cross_check_rejects_depth_zero():
+    # at depth 0 the cap is 1, f_1 = 0 and k = 0: the identity would hold vacuously
+    with pytest.raises(ValueError):
+        periods.cf2_cross_check(2, 0)
+    with pytest.raises(ValueError):
+        cf2_convention(2, 0)
+
+
 def test_cf2_convention_label():
     assert cf2_convention(2) == "pi*f0/f1"
     assert cf2_convention(3) == "pi*f0/f1"

@@ -1,5 +1,6 @@
 """Exact digit arithmetic and valuation bookkeeping."""
 
+from collections import defaultdict
 from fractions import Fraction
 from time import perf_counter
 
@@ -14,6 +15,7 @@ from lubintate.valuations import (
     Val,
     frac_json,
     prime_power_split,
+    sum_terms,
     vp,
 )
 
@@ -244,3 +246,48 @@ def test_unit_inverse(R, data):
     if x.coeffs[0] % R.p == 0:
         x = x + R.one()
     assert x * x.inverse() == R.one()
+
+
+# ---- sum_terms: the one helper that sums sparse terms by key
+
+
+@given(data=st.data())
+def test_sum_terms_matches_defaultdict(data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(-3, 3))))
+    # negated copies of some terms make running sums cancel, mid-list or at the end
+    cancel = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    terms = data.draw(st.permutations(pairs + [(k, -v) for k, v in cancel]))
+    oracle, entered = defaultdict(int), {}
+    for i, (k, v) in enumerate(terms):
+        before = oracle[k]
+        oracle[k] += v
+        if not before and oracle[k]:
+            entered[k] = i
+    got = sum_terms(terms)
+    assert got == {k: v for k, v in oracle.items() if v}
+    # a key sits where its running sum last became nonzero
+    assert list(got) == sorted(got, key=entered.get)
+
+
+@given(N=st.integers(1, 6), data=st.data())
+def test_sum_terms_adds_laurent_coefficients_left_to_right(N, data):
+    R = RamifiedRing(2, 1, N)
+    coeff = st.builds(LaurentCoeff.from_int, st.just(R), st.integers(-8, 8), st.integers(-2, 2))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, 3), coeff)))
+    cancel = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    terms = data.draw(st.permutations(pairs + [(k, -c) for k, c in cancel]))
+    want = {}
+    for key in dict.fromkeys(k for k, _ in terms):
+        acc = LaurentCoeff.zero(R)
+        for k, c in terms:
+            if k == key:
+                acc = acc + c
+        if acc:
+            want[key] = acc
+    assert sum_terms(terms) == want
+
+
+def test_laurent_truth_is_nonzero():
+    R = RamifiedRing(3, 2, 4)
+    assert not LaurentCoeff.zero(R) and not LaurentCoeff.from_int(R, 3 ** 4)
+    assert LaurentCoeff.one(R) and LaurentCoeff.pi_power(R, -3)

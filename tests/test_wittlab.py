@@ -4,12 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lubintate.cli import main
@@ -17,8 +18,10 @@ from lubintate.fqlin import rational_inverse
 from lubintate.valuations import vp
 from lubintate.wittlab import (
     DualNumbers,
+    RAM_INDICES,
     LocalIntegers,
     RamifiedNilpotents,
+    WittLaw,
     _least_vp,
     alternating_inverse,
     check_o_integrality,
@@ -406,6 +409,71 @@ def test_laws_at_pi_equal_p_are_integral_ghost_maps(q, N, data):
         assert _gh(s, p, q, i) == _gh(x, p, q, i) + _gh(y, p, q, i)
         assert _gh(m, p, q, i) == _gh(x, p, q, i) * _gh(y, p, q, i)
         assert _gh(f, p, q, i) == _gh(w, p, q, i + 1)
+
+
+def _fraction_fold(poly, p, e):
+    """{mono: {r: a_r}}: each Laurent coefficient folded under pi^e = p in Fractions.
+
+    pi^k = p^m * pi^r with k = m*e + r and 0 <= r < e; zero slots drop.
+    """
+    out = {}
+    for (k, mono), c in poly.items():
+        m, r = divmod(k, e)
+        slots = out.setdefault(mono, {})
+        slots[r] = slots.get(r, 0) + c * Fraction(p) ** m
+    return {mono: {r: a for r, a in slots.items() if a} for mono, slots in out.items()}
+
+
+def _integral_by_fractions(law: WittLaw) -> bool:
+    """Integrality oracle: min over nonzero slots of e * v_p(a_r) + r >= 0."""
+    return all(
+        e * vp(a, law.p) + r >= 0
+        for poly in law.sum_polys + law.prod_polys + law.frob_polys
+        for e in RAM_INDICES
+        for slots in _fraction_fold(poly, law.p, e).values()
+        for r, a in slots.items()
+    )
+
+
+def _perturbed(law, family, i, mono, c, k):
+    """law with c * pi^k * mono added to component i of one structure family."""
+    polys = list(getattr(law, family))
+    poly = dict(polys[i])
+    poly[(k, mono)] = poly.get((k, mono), 0) + c
+    polys[i] = {t: a for t, a in poly.items() if a}
+    return replace(law, **{family: tuple(polys)})
+
+
+monomials = st.lists(
+    st.tuples(st.sampled_from(("x0", "x1", "y0", "y2", "w1")), st.integers(1, 4)),
+    max_size=3, unique_by=lambda t: t[0],
+).map(lambda pairs: tuple(sorted(pairs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from((2, 3, 4)), N=st.integers(1, 3),
+       family=st.sampled_from(("sum_polys", "prod_polys", "frob_polys")), i=st.integers(0, 2),
+       mono=st.one_of(st.integers(0, 10 ** 6), monomials),
+       c=st.integers(-12, 12).filter(bool), k=st.integers(-4, 2))
+@example(q=2, N=2, family="sum_polys", i=1, mono=(("x0", 1),), c=1, k=-1)
+def test_integer_fold_agrees_with_fraction_fold(q, N, family, i, mono, c, k):
+    law = _law(N, q)
+    i %= N
+    if isinstance(mono, int):       # perturb a monomial the component already has
+        monos = sorted({m for _, m in getattr(law, family)[i]})
+        mono = monos[mono % len(monos)]
+    bent = _perturbed(law, family, i, mono, c, k)
+    assert check_o_integrality(bent) == _integral_by_fractions(bent)
+
+
+def test_integrality_rejects_a_pole():
+    law = _law(2, 2)
+    assert check_o_integrality(law) and _integral_by_fractions(law)
+    bent = _perturbed(law, "sum_polys", 1, (("x0", 1),), 1, -1)     # S_1 + x0/pi
+    assert not check_o_integrality(bent) and not _integral_by_fractions(bent)
+    # 2/pi = pi^(e - 1) is integral at every ramification index
+    bent = _perturbed(law, "sum_polys", 1, (("x0", 1),), 2, -1)
+    assert check_o_integrality(bent) and _integral_by_fractions(bent)
 
 
 def test_cli_import_does_not_load_sympy():
