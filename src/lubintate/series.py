@@ -249,12 +249,6 @@ class SeriesMatrix:
             for s in row:
                 first._compat(s)
 
-    @classmethod
-    def identity(cls, ring, n, nvars, cap) -> "SeriesMatrix":
-        one = TruncSeries.one(ring, nvars, cap)
-        zero = TruncSeries.zero(ring, nvars, cap)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")

@@ -28,7 +28,8 @@ pi*gamma(x) = x^q, gamma(ax) = a^q gamma(x), and the binomial addition rule
 admits a componentwise logarithm log_i = sum_k delta_k(x_{i-k}) with
 delta_k = pi^((q^k-1)/(q-1) - k) * gamma^k.  Three exact model rings
 exercise it: dual numbers over F_p, F_2[s]/(s^4) with pi acting as s, and
-the p-local integers with gamma(x) = x^p/p.
+the p-local integers with gamma(x) = x^p/p, held as unreduced integer pairs
+(num, den) with den > 0 prime to p and compared by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ def _mul(a: dict, b: dict) -> dict:
 
 
 def _pow(a: dict, n: int) -> dict:
+    if len(a) == 1 and n >= 1:  # one term: (c pi^k mono)^n in closed form
+        [((k, mono), c)] = a.items()
+        return {(k * n, tuple((name, e * n) for name, e in mono)): c ** n}
     out = {(0, ()): 1}
     for _ in range(n):
         out = _mul(out, a)
@@ -328,11 +332,11 @@ class RamifiedNilpotents:
         return a
 
     def mul(self, a, b):
-        out = [0, 0, 0, 0]
-        for i in range(4):
-            for j in range(4 - i):
-                out[i + j] = (out[i + j] + a[i] * b[j]) % 2
-        return tuple(out)
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return (a0 * b0 % 2, (a0 * b1 + a1 * b0) % 2,
+                (a0 * b2 + a1 * b1 + a2 * b0) % 2,
+                (a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0) % 2)
 
     def eq(self, a, b):
         return a == b
@@ -367,50 +371,55 @@ class RamifiedNilpotents:
 
 
 class LocalIntegers:
-    """Z_(p) with J = (p) and gamma(x) = x^p / p, all in exact rationals."""
+    """Z_(p) with J = (p) and gamma(x) = x^p / p, on integer pairs.
+
+    An element is a pair (num, den) of integers standing for num/den, with
+    den > 0 and prime to p.  Pairs are not reduced: add and mul multiply
+    out with no gcd, and equality cross-multiplies (a0*b1 == b0*a1).
+    """
 
     def __init__(self, p: int):
         self.p = p
         self.q = p
         self.e = 1
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = (0, 1)
+        self.one = (1, 1)
 
     def _check(self, a):
-        if a.denominator % self.p == 0:
+        if a[1] % self.p == 0:
             raise ValueError("not p-local")
         return a
 
     def add(self, a, b):
-        return self._check(a + b)
+        return self._check((a[0] * b[1] + b[0] * a[1], a[1] * b[1]))
 
     def neg(self, a):
-        return -a
+        return (-a[0], a[1])
 
     def mul(self, a, b):
-        return self._check(a * b)
+        return self._check((a[0] * b[0], a[1] * b[1]))
 
     def eq(self, a, b):
-        return a == b
+        return a[0] * b[1] == b[0] * a[1]
 
     def in_J(self, a):
-        return a == 0 or vp(a, self.p) >= 1
+        return a[0] % self.p == 0
 
     def gamma(self, a):
         if not self.in_J(a):
             raise ValueError("gamma only defined on J")
-        return self._check(a ** self.p / self.p)
+        return (a[0] ** self.p // self.p, a[1] ** self.p)  # exact: p divides num
 
     def o_image(self, c: Fraction, k: int = 0):
-        return self._check(Fraction(c) * Fraction(self.p) ** k)
+        val = Fraction(c) * Fraction(self.p) ** k
+        return self._check((val.numerator, val.denominator))
 
     def sample_J(self):
         p = self.p
-        return [Fraction(0), Fraction(p), Fraction(2 * p), Fraction(-p),
-                Fraction(p, p + 1)]
+        return [(0, 1), (p, 1), (2 * p, 1), (-p, 1), (p, p + 1)]
 
     def sample_B(self):
-        return [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, self.p + 1)]
+        return [(0, 1), (1, 1), (-2, 1), (1, self.p + 1)]
 
 
 def opd_axioms_hold(ring) -> bool:
@@ -449,21 +458,27 @@ def delta_pi_exponent(q: int, k: int) -> int:
     return (q ** k - 1) // (q - 1) - k
 
 
-def _delta(ring, k: int, x):
-    out = x
-    for _ in range(k):
-        out = ring.gamma(out)
-    return ring.mul(ring.o_image(Fraction(1), delta_pi_exponent(ring.q, k)), out)
+def _deltas(ring, n: int):
+    """delta(k, x) = delta_k(x) for k < n, each constant pi^(...) built once."""
+    consts = [ring.o_image(1, delta_pi_exponent(ring.q, k)) for k in range(n)]
+
+    def delta(k: int, x):
+        for _ in range(k):
+            x = ring.gamma(x)
+        return ring.mul(consts[k], x)
+
+    return delta
 
 
 def log_opd(ring, comps):
     """Componentwise logarithm W_O(J) -> J^N."""
     comps = list(comps)
+    delta = _deltas(ring, len(comps))
     out = []
     for i in range(len(comps)):
         acc = ring.zero
         for k in range(i + 1):
-            acc = ring.add(acc, _delta(ring, k, comps[i - k]))
+            acc = ring.add(acc, delta(k, comps[i - k]))
         out.append(acc)
     return tuple(out)
 
@@ -471,11 +486,12 @@ def log_opd(ring, comps):
 def exp_opd(ring, comps):
     """Inverse of log_opd by triangular back substitution."""
     comps = list(comps)
+    delta = _deltas(ring, len(comps))
     out = []
     for i in range(len(comps)):
         acc = comps[i]
         for k in range(1, i + 1):
-            acc = ring.add(acc, ring.neg(_delta(ring, k, out[i - k])))
+            acc = ring.add(acc, ring.neg(delta(k, out[i - k])))
         out.append(acc)
     return tuple(out)
 

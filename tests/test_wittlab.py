@@ -23,6 +23,8 @@ from lubintate.wittlab import (
     RamifiedNilpotents,
     WittLaw,
     _least_vp,
+    _mul,
+    _pow,
     alternating_inverse,
     check_o_integrality,
     const_witt,
@@ -91,7 +93,24 @@ def test_opd_negative_control():
             # constant nonzero value breaks the scaling axiom
             return (0, 1)
 
-    assert not opd_axioms_hold(BadGamma(3))
+    class UnitOffGamma(LocalIntegers):
+        def gamma(self, a):
+            # (p + 1) * x^p / p: the true gamma times a unit
+            return self.mul((self.p + 1, 1), super().gamma(a))
+
+    class WrongGamma(RamifiedNilpotents):
+        def gamma(self, a):
+            # a s^2 + b s^3 -> b s^3: the s^3 coefficient where a s^3 takes the s^2 one
+            return (0, 0, 0, a[3])
+
+    for ring in (BadGamma(3), UnitOffGamma(2), UnitOffGamma(3), WrongGamma()):
+        assert not opd_axioms_hold(ring), type(ring).__name__
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_local_integers_reject_non_local_images(p):
+    with pytest.raises(ValueError, match="not p-local"):
+        LocalIntegers(p).o_image(Fraction(1, p), 0)
 
 
 def test_delta_exponents():
@@ -466,6 +485,18 @@ def test_integer_fold_agrees_with_fraction_fold(q, N, family, i, mono, c, k):
     assert check_o_integrality(bent) == _integral_by_fractions(bent)
 
 
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(-5, 5), mono=monomials, n=st.integers(1, 12),
+       c=st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12)).filter(bool))
+@example(k=-3, mono=(("x0", 2), ("y2", 1)), n=12, c=Fraction(-2, 3))
+def test_one_term_power_matches_repeated_products(k, mono, n, c):
+    a = {(k, mono): c}
+    want = {(0, ()): 1}
+    for _ in range(n):
+        want = _mul(want, a)
+    assert _pow(a, n) == want
+
+
 def test_integrality_rejects_a_pole():
     law = _law(2, 2)
     assert check_o_integrality(law) and _integral_by_fractions(law)
@@ -474,6 +505,100 @@ def test_integrality_rejects_a_pole():
     # 2/pi = pi^(e - 1) is integral at every ramification index
     bent = _perturbed(law, "sum_polys", 1, (("x0", 1),), 2, -1)
     assert check_o_integrality(bent) and _integral_by_fractions(bent)
+
+
+# ---------------------------------------------------------------------
+# oracles for the model rings
+# ---------------------------------------------------------------------
+
+class _FractionLocalIntegers:
+    """Oracle: Z_(p) with gamma(x) = x^p / p on reduced Fractions."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def _check(self, a):
+        if a.denominator % self.p == 0:
+            raise ValueError("not p-local")
+        return a
+
+    def add(self, a, b):
+        return self._check(a + b)
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return self._check(a * b)
+
+    def in_J(self, a):
+        return a == 0 or vp(a, self.p) >= 1
+
+    def gamma(self, a):
+        if not self.in_J(a):
+            raise ValueError("gamma only defined on J")
+        return self._check(a ** self.p / self.p)
+
+    def o_image(self, c, k: int = 0):
+        return self._check(Fraction(c) * Fraction(self.p) ** k)
+
+
+def _local_pair(p, raw):
+    """(num, den) with den > 0 prime to p, not reduced."""
+    num, den = raw
+    return num, den if den % p else den + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)),
+       a=st.tuples(st.integers(-60, 60), st.integers(1, 60)),
+       b=st.tuples(st.integers(-60, 60), st.integers(1, 60)),
+       unit=st.integers(1, 12),
+       c=st.fractions(-20, 20, max_denominator=30), k=st.integers(-2, 3))
+@example(p=3, a=(2, 4), b=(1, 2), unit=1, c=Fraction(1, 3), k=0)
+@example(p=2, a=(6, 9), b=(-4, 6), unit=3, c=Fraction(3, 4), k=2)
+def test_local_integer_pairs_match_fraction_oracle(p, a, b, unit, c, k):
+    ring, oracle = LocalIntegers(p), _FractionLocalIntegers(p)
+    a, b = _local_pair(p, a), _local_pair(p, b)
+    unit = unit if unit % p else unit + 1
+    fa, fb = Fraction(*a), Fraction(*b)
+
+    def same(pair, want):
+        return pair[1] > 0 and pair[1] % p != 0 and Fraction(*pair) == want
+
+    assert same(ring.add(a, b), oracle.add(fa, fb))
+    assert same(ring.mul(a, b), oracle.mul(fa, fb))
+    assert same(ring.neg(a), oracle.neg(fa))
+    assert ring.eq(a, b) == (fa == fb)
+    assert ring.eq(a, (a[0] * unit, a[1] * unit)) and ring.eq((b[0] * unit, b[1] * unit), b)
+    assert ring.in_J(a) == oracle.in_J(fa)
+    x = (p * a[0] * unit, a[1] * unit)     # in J, unreduced when unit > 1
+    assert ring.in_J(x) and same(ring.gamma(x), oracle.gamma(Fraction(*x)))
+    try:
+        want = oracle.o_image(c, k)
+    except ValueError:
+        with pytest.raises(ValueError, match="not p-local"):
+            ring.o_image(c, k)
+    else:
+        assert same(ring.o_image(c, k), want)
+
+
+def _nilpotent_mul_by_loops(a, b):
+    """Oracle: the F_2[s]/(s^4) product as a double loop over coefficients."""
+    out = [0, 0, 0, 0]
+    for i in range(4):
+        for j in range(4 - i):
+            out[i + j] = (out[i + j] + a[i] * b[j]) % 2
+    return tuple(out)
+
+
+def test_nilpotent_product_matches_double_loop():
+    ring = RamifiedNilpotents()
+    elems = ring.sample_B()
+    assert len(set(elems)) == 16
+    for a in elems:
+        for b in elems:
+            assert ring.mul(a, b) == _nilpotent_mul_by_loops(a, b), (a, b)
 
 
 def test_cli_import_does_not_load_sympy():
