@@ -13,7 +13,8 @@ p^(e_j) in row j of column j, entries above pivot i in [0, p^(e_i)), and k
 the least shift that makes H integral.  This form is unique, so two
 lattices are equal iff their (k, H) agree, which makes vertex identity,
 BFS balls, and gluing checks exact integer comparisons.  Scaling by p^t
-changes k alone.
+changes k alone.  A neighbour p Lambda + W is p^(-k) H M, M the form of
+p Z^n + W, reduced above its pivots: no elimination (see neighbour).
 
 The height along an oriented edge b -> c (realized as Lambda_b < Lambda_c
 inside p^(-1) Lambda_b) rises by the dimension: h_c = h_b +
@@ -23,6 +24,7 @@ simplex rotation land back on the same vertices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -204,13 +206,40 @@ def standard_vertex(p: int, n: int, h: int = 0) -> BuildingVertex:
     return make_vertex(cols, h, p)
 
 
+@functools.cache
+def _subspace_form(p: int, n: int, rows):
+    """Hermite form of p*Z^n + W: (k, exps, nonzero (row, entry) pairs per column)."""
+    gens = [[p if i == j else 0 for i in range(n)] for j in range(n)]
+    M = Lattice.from_cols(p, gens + [list(w) for w in rows])
+    return M.k, M.exps, tuple(tuple((r, x) for r, x in enumerate(c) if x) for c in M.H)
+
+
 def neighbour(lat: Lattice, rows) -> Lattice:
-    """p*Lambda + W, W spanned by the lifts of F_p rows (coordinates in H)."""
+    """p*Lambda + W, W spanned by the lifts of F_p rows (coordinates in H).
+
+    This is p^(-k) * span(H M), M the Hermite form of p*Z^n + W, computed once
+    per (p, n, W).  H M is upper triangular with pivots p^(e_j + f_j), so only
+    the reduction above the pivots and the strip of its content remain.
+    """
     p, n, H = lat.p, lat.n, lat.H
-    gens = [[p * x for x in col] for col in H]
-    for w in rows:
-        gens.append([sum(wk * H[k][r] for k, wk in enumerate(w)) for r in range(n)])
-    return Lattice.from_cols(p, gens, lat.k)
+    shift, f, M = _subspace_form(p, n, tuple(map(tuple, rows)))
+    placed = []
+    for j, ((l, c), *rest) in enumerate(M):
+        col = [c * x for x in H[l]]
+        for l, c in rest:
+            col = [x + c * y for x, y in zip(col, H[l])]
+        for i in range(j - 1, -1, -1):
+            q = col[i] // placed[i][i]
+            if q:
+                col = [x - q * y for x, y in zip(col, placed[i])]
+        placed.append(col)
+    exps = [e + fj for e, fj in zip(lat.exps, f)]
+    if min(exps):  # the content p^m divides every pivot p^(e_j + f_j)
+        m = vp(gcd(*(x for c in placed for x in c)), p)
+        placed = [[x // p ** m for x in c] for c in placed]
+        exps = [e - m for e in exps]
+        shift -= m
+    return Lattice(p, n, lat.k + shift, tuple(map(tuple, placed)), tuple(exps))
 
 
 def out_edges(a: BuildingVertex):

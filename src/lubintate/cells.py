@@ -19,7 +19,6 @@ linear algebra on canonical echelon forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .building import (
@@ -37,7 +36,7 @@ from .fqlin import (
 )
 from .hecke import canonical_quotient
 from .polygon import NewtonPolygon, gh_boundary_polygon
-from .valuations import sum_terms, vp
+from .valuations import sum_terms
 
 
 class LevelError(ValueError):
@@ -100,9 +99,12 @@ def full_flags(cell: Cell):
     return list(extend([], 1))
 
 
-def _vp_min(coords, p: int):
-    """Least valuation in a list of solve_coords results (E, p^E * column)."""
-    return min((vp(x, p) - E for E, col in coords for x in col if x), default=None)
+def _check_level(level: int) -> None:
+    """The stabilizer condition of every proper stratum: level >= 2."""
+    if level < 2:
+        raise LevelError(
+            f"level {level} too coarse: stabilizer condition fails by p^{2 - level}"
+        )
 
 
 def _mod_p_matrix(coords, p: int):
@@ -126,22 +128,18 @@ def glue_edge(b: BoundaryComponent) -> GlueResult:
 
     The far lattice is Lambda' = Lambda + p^(-1) E; the congruence level m
     must satisfy p^m End(Lambda) c p End(Lambda') (two-sided stabilizer
-    condition), which needs m >= 2 whenever the stratum is proper.
+    condition).  It fails by p^(1 - m - a - b), a and b the least valuations
+    of the coordinates of Lambda in Lambda' and of Lambda' in Lambda.  As
+    Lambda < Lambda' < p^(-1) Lambda strictly, a = 0 and b = -1 for every
+    proper stratum, so the condition is m >= 2: assemble_complex checks it once.
     """
     cell = b.cell
+    _check_level(cell.level)
     vtx = cell.vertex
     lat, n, p = vtx.lat, vtx.n, vtx.p
     far = neighbour(lat, b.subspace).scale(-1)
 
-    fwd = [far.solve_coords(col, lat.k) for col in lat.H]   # B'^{-1} B
-    bwd = [lat.solve_coords(col, far.k) for col in far.H]   # B^{-1} B'
-    lvl = cell.level - 1 + (_vp_min(fwd, p) or 0) + (_vp_min(bwd, p) or 0)
-    if lvl < 0:
-        raise LevelError(
-            f"level {cell.level} too coarse: stabilizer condition fails by p^{-lvl}"
-        )
-
-    T = _mod_p_matrix(fwd, p)
+    T = _mod_p_matrix([far.solve_coords(col, lat.k) for col in lat.H], p)  # B'^{-1} B
     if kernel_basis(T, p) != b.subspace:
         raise ArithmeticError("transition kernel does not match the stratum")
     # image of T: its columns, echelonized as row vectors
@@ -265,35 +263,34 @@ class CellComplex:
 def assemble_complex(vertices, level: int = 2) -> CellComplex:
     """Cells over an explicit vertex set, glued along strata joining them.
 
-    Each unordered glued pair of boundary components contributes one edge;
-    strata whose far vertex falls outside the set are reported as dangling.
+    Each unordered glued pair of boundary components contributes one edge.
+    A stratum whose far vertex [Lambda + p^(-1) E, h + rank] falls outside
+    the set is reported as dangling and not glued.  Gluing is an involution,
+    so one reached by an earlier glue is skipped: glue_edge runs once per edge.
     """
     verts = sorted(set(vertices), key=lambda v: v.sort_key())
     index = {v: k for k, v in enumerate(verts)}
     cells = tuple(make_cell(v, level) for v in verts)
-    edges = {}
+    if any(v.n > 1 for v in verts):
+        _check_level(level)
+    edges = []
+    reached = set()
     dangling = []
     for ci, cell in enumerate(cells):
-        n = cell.vertex.n
+        vtx, n = cell.vertex, cell.vertex.n
         for rank in range(1, n):
             for comp in boundary_components(cell, rank):
-                res = glue_edge(comp)
-                far_v = res.component.cell.vertex
-                if far_v not in index:
+                far = make_vertex(neighbour(vtx.lat, comp.subspace).scale(-1), vtx.h + rank)
+                if far not in index:
                     dangling.append((ci, rank, comp.subspace))
                     continue
-                cj = index[far_v]
-                key = frozenset(
-                    {(ci, comp.subspace), (cj, res.component.subspace)}
-                )
-                if key in edges:
+                if (ci, comp.subspace) in reached:
                     continue
-                edges[key] = GluedEdge(
-                    ci, comp.subspace, cj, res.component.subspace, min(rank, n - rank)
-                )
-    ordered = tuple(
-        sorted(edges.values(), key=lambda e: (e.cell_a, e.cell_b, e.subspace_a))
-    )
+                star = glue_edge(comp).component.subspace
+                cj = index[far]
+                reached.add((cj, star))
+                edges.append(GluedEdge(ci, comp.subspace, cj, star, min(rank, n - rank)))
+    ordered = tuple(sorted(edges, key=lambda e: (e.cell_a, e.cell_b, e.subspace_a)))
     return CellComplex(level, cells, ordered, tuple(dangling))
 
 
@@ -340,37 +337,3 @@ def saturation_check(n: int, i: int, a_max: int | None = None) -> bool:
             if expected != reach[a][b]:
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class ModelDescription:
-    relations: tuple
-    convex: bool
-
-    def display(self):
-        return [
-            f"x_{i}^{b} = pi^{a} * T_{i}" for i, b, a in self.relations
-        ]
-
-
-def constraint_model(alphas, q: int) -> ModelDescription:
-    """Local model x_i^(b_i) = pi^(a_i) T_i from vertex values a_i/b_i.
-
-    Preconditions: 0 < alpha_i < 1.  The convex flag records whether the
-    profile (1, alpha_1, ..., alpha_{n-1}, 0) over abscissas q^i is convex
-    (non-increasing slopes), which is when the model is a cell.
-    """
-    alphas = [Fraction(a) for a in alphas]
-    if any(not 0 < a < 1 for a in alphas):
-        raise ValueError("vertex values must lie strictly between 0 and 1")
-    rels = tuple(
-        (i, a.denominator, a.numerator) for i, a in enumerate(alphas, start=1)
-    )
-    profile = [Fraction(1)] + alphas + [Fraction(0)]
-    n = len(profile) - 1
-    slopes = [
-        (profile[j - 1] - profile[j]) / (q ** j - q ** (j - 1))
-        for j in range(1, n + 1)
-    ]
-    convex = all(slopes[j] >= slopes[j + 1] for j in range(len(slopes) - 1))
-    return ModelDescription(rels, convex)

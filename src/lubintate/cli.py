@@ -5,7 +5,8 @@ dumped with sorted keys, DOT and SVG renderings are built from sorted
 vertex and edge lists, so identical invocations produce identical bytes.
 
 Exit codes: 0 on success, 1 on domain errors (collisions, budget or level
-failures, bad valuations), 2 on usage errors (argparse's own convention).
+failures, bad valuations) and when the reader closes stdout early, 2 on
+usage errors (argparse's own convention).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -357,10 +359,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader closed stdout early: drop the rest
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from lubintate.building import (
     descent,
     lam_dim,
     make_vertex,
+    neighbour,
     out_edges,
     standard_vertex,
     to_dot,
@@ -344,3 +345,27 @@ def test_act_is_edge_equivariant_on_random_vertices(p, n, data):
     d = data.draw(st.integers(-3, 3))
     image = {(act(g, d, w), i) for w, i in out_edges(a)}
     assert image == set(out_edges(act(g, d, a)))
+
+
+def _neighbour_oracle(lat, rows):
+    """p*Lambda + W canonicalized by from_cols on its n + d generators."""
+    p, n, H = lat.p, lat.n, lat.H
+    gens = [[p * x for x in col] for col in H]
+    for w in rows:
+        gens.append([sum(wk * H[k][r] for k, wk in enumerate(w)) for r in range(n)])
+    return Lattice.from_cols(p, gens, lat.k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from((2, 3)), n=st.integers(2, 4), data=st.data())
+def test_neighbour_matches_generator_oracle(p, n, data):
+    # a random vertex of the radius-2 ball, reached along oracle edges
+    v = standard_vertex(p, n)
+    for _ in range(data.draw(st.integers(0, 2))):
+        d = data.draw(st.integers(1, n - 1))
+        rows = data.draw(st.sampled_from(list(echelon_subspaces(n, d, p))))
+        v = make_vertex(_neighbour_oracle(v.lat, rows), v.h - (n - d))
+    for d in range(n + 1):
+        for rows in echelon_subspaces(n, d, p):
+            got, want = neighbour(v.lat, rows), _neighbour_oracle(v.lat, rows)
+            assert (got.k, got.H, got.exps) == (want.k, want.H, want.exps)

@@ -1,25 +1,28 @@
 """Cells over vertices, boundary gluing, cocycles, complex assembly."""
 
-from fractions import Fraction
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lubintate.building import act, ball, out_edges, standard_vertex
+from lubintate.building import act, ball, descent, neighbour, out_edges, standard_vertex
 from lubintate.cells import (
+    BoundaryComponent,
+    CellComplex,
+    GluedEdge,
     LevelError,
     assemble_complex,
     boundary_components,
     cocycle_check,
-    constraint_model,
     full_flags,
     glue_edge,
     integral_generators,
     make_cell,
     saturation_check,
 )
-from lubintate.fqlin import gaussian_binomial, rref
+from lubintate.fqlin import echelon_subspaces, gaussian_binomial, rref
 from lubintate.hecke import canonical_quotient
 from lubintate.polygon import gh_boundary_polygon
+from lubintate.valuations import vp
 
 
 def test_make_cell_carries_boundary_constraint():
@@ -86,6 +89,56 @@ def test_glue_needs_level_two():
         glue_edge(boundary_components(shallow, 1)[0])
     # level 2 is exactly enough
     glue_edge(boundary_components(make_cell(v, 2), 1)[0])
+    # a lone cell glues nothing, its strata all dangle, and level 1 still fails
+    with pytest.raises(LevelError, match=r"level 1 too coarse: .* fails by p\^1$"):
+        assemble_complex([standard_vertex(2, 3)], level=1)
+
+
+def _least_val(coords, p):
+    """Least valuation of the coordinates in solve_coords results (E, p^E * col)."""
+    return min(vp(x, p) - E for E, col in coords for x in col if x)
+
+
+def _random_vertex(p, n, data):
+    """A vertex of the radius-2 ball about the standard vertex, by a random walk."""
+    v = standard_vertex(p, n)
+    for _ in range(data.draw(st.integers(0, 2))):
+        v, _ = data.draw(st.sampled_from(out_edges(v)))
+    return v
+
+
+def _random_stratum(p, n, data):
+    rank = data.draw(st.integers(1, n - 1))
+    return rank, data.draw(st.sampled_from(list(echelon_subspaces(n, rank, p))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from((2, 3)), n=st.integers(2, 4), data=st.data())
+def test_level_condition_is_level_two_on_every_stratum(p, n, data):
+    # the condition fails by p^(1 - level - a - b); a = 0 and b = -1 leave level >= 2
+    lat = _random_vertex(p, n, data).lat
+    _, E = _random_stratum(p, n, data)
+    far = neighbour(lat, E).scale(-1)
+    assert _least_val([far.solve_coords(col, lat.k) for col in lat.H], p) == 0
+    assert _least_val([lat.solve_coords(col, far.k) for col in far.H], p) == -1
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from((2, 3)), n=st.integers(3, 4), data=st.data())
+def test_glue_twice_is_identity_and_cocycle_holds(p, n, data):
+    cell = make_cell(_random_vertex(p, n, data), 2)
+    rank, outer = _random_stratum(p, n, data)
+    there = glue_edge(BoundaryComponent(cell, rank, outer)).component
+    back = glue_edge(there).component
+    assert (back.cell.vertex, back.rank, back.subspace) == (cell.vertex, rank, outer)
+    # a random stratum inside outer: the span of random combinations of its rows
+    combos = []
+    for _ in range(data.draw(st.integers(1, rank))):
+        cs = [data.draw(st.integers(0, p - 1)) for _ in outer]
+        combos.append([sum(c * x for c, x in zip(cs, col)) for col in zip(*outer)])
+    inner = rref(combos, p)[0]
+    if inner:
+        assert cocycle_check(cell, inner, outer)
 
 
 def test_cocycle_holds_and_corruption_breaks_it():
@@ -108,6 +161,44 @@ def test_assemble_complex_counts():
     assert (len(cx3.cells), len(cx3.edges), len(cx3.dangling)) == (5, 4, 12)
     d = cx3.to_json_dict()
     assert d["level"] == 2 and len(d["cells"]) == 5 and len(d["edges"]) == 4
+
+
+def _assemble_every_stratum(vertices, level=2):
+    """The complex with the full glue_edge run on every stratum: the oracle."""
+    verts = sorted(set(vertices), key=lambda v: v.sort_key())
+    index = {v: k for k, v in enumerate(verts)}
+    cells = tuple(make_cell(v, level) for v in verts)
+    edges = {}
+    dangling = []
+    for ci, cell in enumerate(cells):
+        n = cell.vertex.n
+        for rank in range(1, n):
+            for comp in boundary_components(cell, rank):
+                res = glue_edge(comp)
+                far_v = res.component.cell.vertex
+                if far_v not in index:
+                    dangling.append((ci, rank, comp.subspace))
+                    continue
+                cj = index[far_v]
+                key = frozenset({(ci, comp.subspace), (cj, res.component.subspace)})
+                if key in edges:
+                    continue
+                edges[key] = GluedEdge(
+                    ci, comp.subspace, cj, res.component.subspace, min(rank, n - rank)
+                )
+    ordered = tuple(
+        sorted(edges.values(), key=lambda e: (e.cell_a, e.cell_b, e.subspace_a))
+    )
+    return CellComplex(level, cells, ordered, tuple(dangling))
+
+
+@pytest.mark.parametrize("lift", [False, True])
+@pytest.mark.parametrize("n, p, radius", [(3, 2, 2), (3, 3, 1), (2, 3, 2)])
+def test_assemble_complex_matches_every_stratum_oracle(n, p, radius, lift):
+    verts = ball(standard_vertex(p, n), radius)
+    if lift:
+        verts = list(verts) + [descent(v) for v in verts]
+    assert assemble_complex(verts) == _assemble_every_stratum(verts)
 
 
 def test_complex_signature_is_action_invariant():
@@ -134,13 +225,3 @@ def test_saturation_brute_force():
     for n in range(2, 7):
         for i in range(1, n):
             assert saturation_check(n, i), (n, i)
-
-
-def test_constraint_model():
-    m = constraint_model([Fraction(1, 2)], 3)
-    assert m.relations == ((1, 2, 1),)
-    assert m.convex
-    assert m.display() == ["x_1^2 = pi^1 * T_1"]
-    assert not constraint_model([Fraction(1, 4), Fraction(3, 4)], 2).convex
-    with pytest.raises(ValueError, match="strictly between"):
-        constraint_model([Fraction(3, 2)], 2)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -95,9 +96,14 @@ def test_periods_output_is_pinned(capsys, argv, digest):
      "4685375133efbac3a322cfeb457defd806dad4fdfd7955afd713566121936a05"),
     (("cells", "complex", "--n", "2", "--p", "3", "--radius", "2", "--lift"),
      "bb88de57a4a2074071d777532fe10d58835ab204a95adde50c41963a61280bbb"),
+    (("cells", "complex", "--n", "3", "--p", "2", "--radius", "3"),
+     "6d3d19b69fac47c3cdf8637ef015070788c043cc41278395d7b05a98a0b58239"),
+    (("cells", "complex", "--n", "3", "--p", "3", "--radius", "2"),
+     "6dd763cc83c0e14be3889bccf3f38693a41b222fdf6afb26485a8aacbbaf1931"),
 ])
 def test_lattice_output_is_pinned(capsys, argv, digest):
-    # sha256 of stdout as printed by the Fraction-column lattice kernel
+    # sha256 of stdout as printed by the Fraction-column lattice kernel; the
+    # last two by the integer Hermite kernel gluing every stratum
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -208,6 +214,30 @@ def test_negative_radius_exits_one(capsys, argv):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: radius must be >= 0")
+
+
+def test_cells_level_one_exits_one(capsys):
+    # every stratum of the single radius-0 cell dangles; the level still fails
+    code = main(["cells", "complex", "--n", "3", "--p", "2", "--radius", "0",
+                 "--level", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: level 1 too coarse: stabilizer condition fails by p^1\n"
+
+
+def test_closed_pipe_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lubintate.cli", "building", "--n", "3",
+             "--p", "2", "--radius", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("max_n", ("0", "-1"))
