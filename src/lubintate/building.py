@@ -95,15 +95,7 @@ class Lattice:
             t = pow(col[j] // p ** exps[j], -1, mod)
             col[:j] = [t * x % mod for x in col[:j]]
             col[j] = p ** exps[j]
-        for j, col in enumerate(placed):
-            for i in range(j - 1, -1, -1):
-                q = col[i] // placed[i][i]
-                if q:
-                    for r in range(i + 1):
-                        col[r] -= q * placed[i][r]
-        m = vp(gcd(*(x for c in placed for x in c)), p)  # the gcd is p^m
-        H = tuple(tuple(x // p ** m for x in c) for c in placed)
-        return cls(p, n, shift - m, H, tuple(e - m for e in exps))
+        return _hermite_tail(p, placed, exps, shift)
 
     @property
     def cols(self):
@@ -189,21 +181,15 @@ class BuildingVertex:
         }
 
 
-def make_vertex(lat_or_gens, h: int, p: int | None = None) -> BuildingVertex:
+def make_vertex(lat: Lattice, h: int) -> BuildingVertex:
     """Normalize (Lambda, h): scale det valuation into {0..n-1}, h += t*n."""
-    if isinstance(lat_or_gens, Lattice):
-        lat = lat_or_gens
-    else:
-        if p is None:
-            raise ValueError("p required when passing raw generators")
-        lat = Lattice.from_cols(p, lat_or_gens)
     t = lat.det_val // lat.n
     return BuildingVertex(lat.scale(-t), h + t * lat.n)
 
 
 def standard_vertex(p: int, n: int, h: int = 0) -> BuildingVertex:
     cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    return make_vertex(cols, h, p)
+    return make_vertex(Lattice.from_cols(p, cols), h)
 
 
 @functools.cache
@@ -221,25 +207,32 @@ def neighbour(lat: Lattice, rows) -> Lattice:
     per (p, n, W).  H M is upper triangular with pivots p^(e_j + f_j), so only
     the reduction above the pivots and the strip of its content remain.
     """
-    p, n, H = lat.p, lat.n, lat.H
-    shift, f, M = _subspace_form(p, n, tuple(map(tuple, rows)))
-    placed = []
-    for j, ((l, c), *rest) in enumerate(M):
+    H = lat.H
+    shift, f, M = _subspace_form(lat.p, lat.n, tuple(map(tuple, rows)))
+    cols = []
+    for (l, c), *rest in M:
         col = [c * x for x in H[l]]
         for l, c in rest:
             col = [x + c * y for x, y in zip(col, H[l])]
-        for i in range(j - 1, -1, -1):
+        cols.append(col)
+    return _hermite_tail(lat.p, cols, [e + fj for e, fj in zip(lat.exps, f)], lat.k + shift)
+
+
+def _hermite_tail(p: int, cols, exps, k: int) -> Lattice:
+    """Hermite form of p^(-k) * span(cols), cols upper triangular with pivots p^(e_j)."""
+    placed = []
+    for col in cols:
+        for i in range(len(placed) - 1, -1, -1):
             q = col[i] // placed[i][i]
             if q:
                 col = [x - q * y for x, y in zip(col, placed[i])]
         placed.append(col)
-    exps = [e + fj for e, fj in zip(lat.exps, f)]
-    if min(exps):  # the content p^m divides every pivot p^(e_j + f_j)
+    if min(exps):  # strip the content p^m into k; a unit pivot makes it 1
         m = vp(gcd(*(x for c in placed for x in c)), p)
         placed = [[x // p ** m for x in c] for c in placed]
         exps = [e - m for e in exps]
-        shift -= m
-    return Lattice(p, n, lat.k + shift, tuple(map(tuple, placed)), tuple(exps))
+        k -= m
+    return Lattice(p, len(placed), k, tuple(map(tuple, placed)), tuple(exps))
 
 
 def out_edges(a: BuildingVertex):

@@ -18,7 +18,7 @@ linear algebra on canonical echelon forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .building import (
@@ -48,13 +48,6 @@ class Cell:
     vertex: BuildingVertex
     level: int
     constraint: NewtonPolygon
-    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def quotient_image(self, rank: int) -> NewtonPolygon:
-        """canonical_quotient(constraint, rank).image, computed once per rank."""
-        if rank not in self._images:
-            self._images[rank] = canonical_quotient(self.constraint, rank).image
-        return self._images[rank]
 
 
 def make_cell(vertex: BuildingVertex, level: int) -> Cell:
@@ -123,6 +116,19 @@ class GlueResult:
     transition: tuple  # n x n rows over F_p, kernel = source subspace
 
 
+def _transition(lat, far, E):
+    """T = B'^(-1) B mod p into far = Lambda + p^(-1) E, kernel E, and T's echelonized image."""
+    p = lat.p
+    T = _mod_p_matrix([far.solve_coords(col, lat.k) for col in lat.H], p)
+    if kernel_basis(T, p) != E:
+        raise ArithmeticError("transition kernel does not match the stratum")
+    # image of T: its columns, echelonized as row vectors
+    star = rref([tuple(row) for row in zip(*T)], p)[0]
+    if len(star) != lat.n - len(E):
+        raise ArithmeticError("transition image has wrong dimension")
+    return T, star
+
+
 def glue_edge(b: BoundaryComponent) -> GlueResult:
     """Cross a boundary stratum to its matched stratum at the far vertex.
 
@@ -136,20 +142,11 @@ def glue_edge(b: BoundaryComponent) -> GlueResult:
     cell = b.cell
     _check_level(cell.level)
     vtx = cell.vertex
-    lat, n, p = vtx.lat, vtx.n, vtx.p
-    far = neighbour(lat, b.subspace).scale(-1)
-
-    T = _mod_p_matrix([far.solve_coords(col, lat.k) for col in lat.H], p)  # B'^{-1} B
-    if kernel_basis(T, p) != b.subspace:
-        raise ArithmeticError("transition kernel does not match the stratum")
-    # image of T: its columns, echelonized as row vectors
-    star = rref([tuple(row) for row in zip(*T)], p)[0]
-    if len(star) != n - b.rank:
-        raise ArithmeticError("transition image has wrong dimension")
-
-    far_vertex = make_vertex(far, vtx.h + b.rank)
-    far_cell = Cell(far_vertex, cell.level, cell.quotient_image(b.rank))
-    return GlueResult(BoundaryComponent(far_cell, n - b.rank, star), T)
+    far = neighbour(vtx.lat, b.subspace).scale(-1)
+    T, star = _transition(vtx.lat, far, b.subspace)
+    image = canonical_quotient(cell.constraint, b.rank).image
+    far_cell = Cell(make_vertex(far, vtx.h + b.rank), cell.level, image)
+    return GlueResult(BoundaryComponent(far_cell, vtx.n - b.rank, star), T)
 
 
 def cocycle_check(cell: Cell, inner, outer, corruption=None) -> bool:
@@ -264,9 +261,10 @@ def assemble_complex(vertices, level: int = 2) -> CellComplex:
     """Cells over an explicit vertex set, glued along strata joining them.
 
     Each unordered glued pair of boundary components contributes one edge.
-    A stratum whose far vertex [Lambda + p^(-1) E, h + rank] falls outside
-    the set is reported as dangling and not glued.  Gluing is an involution,
-    so one reached by an earlier glue is skipped: glue_edge runs once per edge.
+    A stratum E whose far vertex [Lambda + p^(-1) E, h + rank] falls outside
+    the set is dangling and not glued; one reached by an earlier glue is
+    skipped, since gluing is an involution.  No far cell is built: every cell
+    carries gh_boundary_polygon(n, p), which each canonical quotient fixes.
     """
     verts = sorted(set(vertices), key=lambda v: v.sort_key())
     index = {v: k for k, v in enumerate(verts)}
@@ -276,20 +274,18 @@ def assemble_complex(vertices, level: int = 2) -> CellComplex:
     edges = []
     reached = set()
     dangling = []
-    for ci, cell in enumerate(cells):
-        vtx, n = cell.vertex, cell.vertex.n
+    for ci, vtx in enumerate(verts):
+        lat, n = vtx.lat, vtx.n
         for rank in range(1, n):
-            for comp in boundary_components(cell, rank):
-                far = make_vertex(neighbour(vtx.lat, comp.subspace).scale(-1), vtx.h + rank)
-                if far not in index:
-                    dangling.append((ci, rank, comp.subspace))
-                    continue
-                if (ci, comp.subspace) in reached:
-                    continue
-                star = glue_edge(comp).component.subspace
-                cj = index[far]
-                reached.add((cj, star))
-                edges.append(GluedEdge(ci, comp.subspace, cj, star, min(rank, n - rank)))
+            for E in echelon_subspaces(n, rank, vtx.p):
+                far = neighbour(lat, E).scale(-1)
+                cj = index.get(make_vertex(far, vtx.h + rank))
+                if cj is None:
+                    dangling.append((ci, rank, E))
+                elif (ci, E) not in reached:
+                    star = _transition(lat, far, E)[1]
+                    reached.add((cj, star))
+                    edges.append(GluedEdge(ci, E, cj, star, min(rank, n - rank)))
     ordered = tuple(sorted(edges, key=lambda e: (e.cell_a, e.cell_b, e.subspace_a)))
     return CellComplex(level, cells, ordered, tuple(dangling))
 

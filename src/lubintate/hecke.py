@@ -98,37 +98,21 @@ def _division_profile(poly: NewtonPolygon, b: Fraction):
 
 
 def _polygon_from_value_multiset(n: int, q: int, values) -> NewtonPolygon:
-    """Rebuild a polygon from q^n - 1 (value, mult) pairs.
+    """Rebuild a polygon from q^n - 1 (value, mult) pairs, distinct values descending.
 
-    Values are sorted descending and must be constant on each block of size
-    q^j - q^(j-1); a straddling value is a non-generic collision.
+    Slope j is the value at flat position q^(j-1) - 1.  Every running sum of
+    the mults must be some q^j - 1, or a value straddles a block: a collision.
     """
     total = sum(m for _, m in values)
     if total != q ** n - 1:
         raise NonGenericCollision(f"image point count {total} != q^n - 1")
-    flat = []
-    for v, m in sorted(values, key=lambda t: t[0], reverse=True):
-        flat.append((v, m))
-    slopes = []
-    idx, remaining = 0, 0
-    current = None
-    for j in range(1, n + 1):
-        need = q ** j - q ** (j - 1)
-        block_val = None
-        while need:
-            if remaining == 0:
-                current, remaining = flat[idx]
-                idx += 1
-            if block_val is None:
-                block_val = current
-            elif current != block_val:
-                raise NonGenericCollision(
-                    "image values straddle a slope block boundary"
-                )
-            take = min(need, remaining)
-            need -= take
-            remaining -= take
-        slopes.append(block_val)
+    slopes, run = [], 0
+    for v, m in values:
+        run += m
+        while q ** len(slopes) - 1 < run:
+            slopes.append(v)
+        if q ** len(slopes) - 1 != run:
+            raise NonGenericCollision("image values straddle a slope block boundary")
     return NewtonPolygon(n, q, slopes)
 
 

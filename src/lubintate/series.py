@@ -131,18 +131,6 @@ class TruncSeries:
     def mul_pi_power(self, e: int) -> "TruncSeries":
         return self.scale(LaurentCoeff.pi_power(self.ring, e))
 
-    def __pow__(self, e: int) -> "TruncSeries":
-        if e < 0:
-            raise ValueError("negative powers: use inverse()")
-        result = TruncSeries.one(self.ring, self.nvars, self.cap)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def inverse(self) -> "TruncSeries":
         """Inverse by the coefficient recurrence of power-series division.
 

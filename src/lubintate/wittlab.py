@@ -296,12 +296,12 @@ class DualNumbers:
         val = Fraction(c) * Fraction(self.p) ** k
         if val == 0:
             return self.zero
-        if vp(val, self.p) < 0:
+        v = vp(val, self.p)
+        if v < 0:
             raise ValueError("not O-integral")
-        if vp(val, self.p) >= 1:
+        if v >= 1:
             return self.zero
-        num, den = val.numerator, val.denominator
-        return ((num * pow(den, -1, self.p)) % self.p, 0)
+        return (val.numerator * pow(val.denominator, -1, self.p) % self.p, 0)
 
     def sample_J(self):
         return [(0, b) for b in range(self.p)]

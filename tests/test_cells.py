@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lubintate import cells
 from lubintate.building import act, ball, descent, neighbour, out_edges, standard_vertex
 from lubintate.cells import (
     BoundaryComponent,
@@ -161,6 +162,26 @@ def test_assemble_complex_counts():
     assert (len(cx3.cells), len(cx3.edges), len(cx3.dangling)) == (5, 4, 12)
     d = cx3.to_json_dict()
     assert d["level"] == 2 and len(d["cells"]) == 5 and len(d["edges"]) == 4
+
+
+def test_boundary_polygon_is_fixed_by_every_canonical_quotient():
+    # why every cell of an assembled complex carries make_cell's constraint
+    for n in range(2, 7):
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            poly = gh_boundary_polygon(n, q)
+            for r in range(1, n):
+                assert canonical_quotient(poly, r).image == poly, (n, q, r)
+
+
+def test_assemble_complex_takes_no_canonical_quotient(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("assemble_complex builds no far cell")
+
+    want = assemble_complex(ball(standard_vertex(2, 3), 1))
+    monkeypatch.setattr(cells, "canonical_quotient", refuse)
+    assert assemble_complex(ball(standard_vertex(2, 3), 1)) == want
+    with pytest.raises(AssertionError, match="no far cell"):
+        glue_edge(boundary_components(make_cell(standard_vertex(2, 3), 2), 1)[0])
 
 
 def _assemble_every_stratum(vertices, level=2):

@@ -19,13 +19,14 @@ from lubintate.hecke import (
     reduce_to_domain,
 )
 from lubintate.polygon import (
+    NewtonPolygon,
     _lower_hull,
     cm_polygon,
     gh_boundary_polygon,
     in_gross_hopkins,
     polygon_from_vals,
 )
-from lubintate.valuations import INF, Val
+from lubintate.valuations import INF, Val, sum_terms
 
 
 def test_kernel_type_validation():
@@ -201,3 +202,65 @@ def test_division_profile_matches_hull_oracle_on_cm_polygons():
                 for b in set(poly.slopes) | fixed:
                     want = division_profile_oracle(poly, b)
                     assert hecke._division_profile(poly, b) == want, (n, q, e, b)
+
+
+def _polygon_from_value_multiset_oracle(n, q, values):
+    """The block-by-block walk over the flattened values, kept as the oracle."""
+    total = sum(m for _, m in values)
+    if total != q ** n - 1:
+        raise NonGenericCollision(f"image point count {total} != q^n - 1")
+    flat = sorted(values, key=lambda t: t[0], reverse=True)
+    slopes = []
+    idx, remaining = 0, 0
+    current = None
+    for j in range(1, n + 1):
+        need = q ** j - q ** (j - 1)
+        block_val = None
+        while need:
+            if remaining == 0:
+                current, remaining = flat[idx]
+                idx += 1
+            if block_val is None:
+                block_val = current
+            elif current != block_val:
+                raise NonGenericCollision("image values straddle a slope block boundary")
+            take = min(need, remaining)
+            need -= take
+            remaining -= take
+        slopes.append(block_val)
+    return NewtonPolygon(n, q, slopes)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:  # NonGenericCollision, or a NewtonPolygon mass error
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(poly=polygons(), data=st.data())
+def test_value_multiset_matches_block_walk_oracle(poly, data):
+    # a polygon's own value multiset, then mass moved between neighbouring
+    # values (straddles), entries split in two, or a count changed (miscounts)
+    n, q = poly.n, poly.q
+    by_value = sum_terms((s, q ** j - q ** (j - 1)) for j, s in enumerate(poly.slopes, 1))
+    entries = [list(t) for t in sorted(by_value.items(), reverse=True)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        k = data.draw(st.integers(0, len(entries) - 1))
+        d = data.draw(st.integers(-3, 3))
+        move = data.draw(st.sampled_from(("shift", "split", "count")))
+        if move == "shift" and k + 1 < len(entries) and entries[k + 1][1] > d > -entries[k][1]:
+            entries[k][1] += d
+            entries[k + 1][1] -= d
+        elif move == "split" and entries[k][1] > 1:
+            a = data.draw(st.integers(1, entries[k][1] - 1))
+            below = entries[k + 1][0] if k + 1 < len(entries) else Fraction(0)
+            entries[k:k + 1] = [[entries[k][0], a], [(entries[k][0] + below) / 2, entries[k][1] - a]]
+        elif move == "count" and entries[k][1] + d > 0:
+            entries[k][1] += d
+    values = tuple(map(tuple, entries))
+    got = _outcome(hecke._polygon_from_value_multiset, n, q, values)
+    assert got == _outcome(_polygon_from_value_multiset_oracle, n, q, values)
+    if values == tuple(sorted(by_value.items(), reverse=True)):
+        assert got == poly
