@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
-from .fqlin import echelon_subspaces, rational_inverse
+from .fqlin import echelon_subspaces, gaussian_binomial, rational_inverse
 from .valuations import _is_prime, vp
 
 
@@ -98,10 +97,13 @@ class Lattice:
         return _hermite_tail(p, placed, exps, shift)
 
     @property
-    def cols(self):
-        """The basis p^(-k) H as Fraction columns."""
-        f = Fraction(self.p) ** -self.k
-        return tuple(tuple(x * f for x in c) for c in self.H)
+    def entries(self):
+        """The basis p^(-k) H as columns of reduced (numerator, denominator) pairs."""
+        if self.k <= 0:
+            m = self.p ** -self.k
+            return tuple(tuple((x * m, 1) for x in c) for c in self.H)
+        d = self.p ** self.k  # gcd(x, d) = p^min(v(x), k), and d for x = 0
+        return tuple(tuple((x // g, d // g) for x in c for g in (gcd(x, d),)) for c in self.H)
 
     @property
     def pivot_exponents(self):
@@ -150,9 +152,7 @@ class Lattice:
         return f"Lattice(p={self.p}, k={self.k}, H={self.H})"
 
     def sort_key(self):
-        return tuple(
-            (x.numerator, x.denominator) for col in self.cols for x in col
-        )
+        return tuple(x for col in self.entries for x in col)
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,8 @@ class BuildingVertex:
             "p": self.p,
             "h": self.h,
             "pivot_exponents": list(self.lat.pivot_exponents),
-            "cols": [[str(x) for x in col] for col in self.lat.cols],
+            "cols": [[f"{a}/{b}" if b != 1 else str(a) for a, b in col]
+                     for col in self.lat.entries],
         }
 
 
@@ -190,6 +191,15 @@ def make_vertex(lat: Lattice, h: int) -> BuildingVertex:
 def standard_vertex(p: int, n: int, h: int = 0) -> BuildingVertex:
     cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     return make_vertex(Lattice.from_cols(p, cols), h)
+
+
+@functools.cache
+def proper_subspaces(n: int, p: int):
+    """(d, rows) for every nonzero proper subspace of F_p^n, by dimension d.
+
+    The list depends on (n, p) alone, so it is enumerated once for them.
+    """
+    return tuple((d, rows) for d in range(1, n) for rows in echelon_subspaces(n, d, p))
 
 
 @functools.cache
@@ -240,13 +250,9 @@ def out_edges(a: BuildingVertex):
 
     Returns (a', i) with i = dim(Lambda / Lambda') = n - dim W and h' = h - i.
     """
-    lat, n, p = a.lat, a.n, a.p
-    out = []
-    for d in range(1, n):
-        for rows in echelon_subspaces(n, d, p):
-            i = n - d
-            out.append((make_vertex(neighbour(lat, rows), a.h - i), i))
-    return out
+    lat, n = a.lat, a.n
+    return [(make_vertex(neighbour(lat, rows), a.h - n + d), n - d)
+            for d, rows in proper_subspaces(n, a.p)]
 
 
 def act(g, d_val: int, a: BuildingVertex) -> BuildingVertex:
@@ -264,10 +270,33 @@ def descent(a: BuildingVertex) -> BuildingVertex:
     return BuildingVertex(a.lat, a.h - 1)
 
 
+BALL_WORK_BUDGET = 300_000  # the most neighbour lattices a ball and its out-edges may need
+
+
 def ball(a: BuildingVertex, radius: int):
-    """Breadth-first closure under out_edges; sorted deterministically."""
+    """Breadth-first closure under out_edges; sorted deterministically.
+
+    Each vertex has S = sum_d [n choose d]_p out-edges, so the ball holds at
+    most 1 + S + ... + S^radius vertices, and walking the out-edges of all of
+    them, as `building` and `cells complex` do, takes about S (1 + S + ... +
+    S^radius) neighbour lattices.  A radius whose work bound exceeds
+    BALL_WORK_BUDGET is refused before the search starts, radius 0 included.
+    """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
+    strata = sum(gaussian_binomial(a.n, d, a.p) for d in range(1, a.n))
+    work = term = strata
+    # with S >= 1 the work passes the budget within a few steps; with S = 0 (n = 1) it is 0
+    for _ in range(min(radius, BALL_WORK_BUDGET)):
+        if work > BALL_WORK_BUDGET:
+            break
+        term *= strata
+        work += term
+    if work > BALL_WORK_BUDGET:
+        raise ValueError(
+            f"a radius-{radius} ball at n = {a.n}, p = {a.p} and its out-edges may need more "
+            f"than {BALL_WORK_BUDGET} neighbour lattices (S (1 + S + ... + S^{radius}), S = {strata})"
+        )
     seen = {a}
     frontier = [a]
     for _ in range(radius):

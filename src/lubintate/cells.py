@@ -25,6 +25,7 @@ from .building import (
     BuildingVertex,
     make_vertex,
     neighbour,
+    proper_subspaces,
 )
 from .fqlin import (
     echelon_subspaces,
@@ -50,9 +51,13 @@ class Cell:
     constraint: NewtonPolygon
 
 
-def make_cell(vertex: BuildingVertex, level: int) -> Cell:
+def _check_cell_level(level: int) -> None:
     if level < 1:
         raise LevelError("cells require principal level >= 1")
+
+
+def make_cell(vertex: BuildingVertex, level: int) -> Cell:
+    _check_cell_level(level)
     return Cell(vertex, level, gh_boundary_polygon(vertex.n, vertex.p))
 
 
@@ -264,11 +269,14 @@ def assemble_complex(vertices, level: int = 2) -> CellComplex:
     A stratum E whose far vertex [Lambda + p^(-1) E, h + rank] falls outside
     the set is dangling and not glued; one reached by an earlier glue is
     skipped, since gluing is an involution.  No far cell is built: every cell
-    carries gh_boundary_polygon(n, p), which each canonical quotient fixes.
+    carries gh_boundary_polygon(n, p), which each canonical quotient fixes,
+    built once for each (n, p) of the set.
     """
     verts = sorted(set(vertices), key=lambda v: v.sort_key())
     index = {v: k for k, v in enumerate(verts)}
-    cells = tuple(make_cell(v, level) for v in verts)
+    _check_cell_level(level)
+    bounds = {key: gh_boundary_polygon(*key) for key in {(v.n, v.p) for v in verts}}
+    cells = tuple(Cell(v, level, bounds[v.n, v.p]) for v in verts)
     if any(v.n > 1 for v in verts):
         _check_level(level)
     edges = []
@@ -276,16 +284,15 @@ def assemble_complex(vertices, level: int = 2) -> CellComplex:
     dangling = []
     for ci, vtx in enumerate(verts):
         lat, n = vtx.lat, vtx.n
-        for rank in range(1, n):
-            for E in echelon_subspaces(n, rank, vtx.p):
-                far = neighbour(lat, E).scale(-1)
-                cj = index.get(make_vertex(far, vtx.h + rank))
-                if cj is None:
-                    dangling.append((ci, rank, E))
-                elif (ci, E) not in reached:
-                    star = _transition(lat, far, E)[1]
-                    reached.add((cj, star))
-                    edges.append(GluedEdge(ci, E, cj, star, min(rank, n - rank)))
+        for rank, E in proper_subspaces(n, vtx.p):
+            far = neighbour(lat, E).scale(-1)
+            cj = index.get(make_vertex(far, vtx.h + rank))
+            if cj is None:
+                dangling.append((ci, rank, E))
+            elif (ci, E) not in reached:
+                star = _transition(lat, far, E)[1]
+                reached.add((cj, star))
+                edges.append(GluedEdge(ci, E, cj, star, min(rank, n - rank)))
     ordered = tuple(sorted(edges, key=lambda e: (e.cell_a, e.cell_b, e.subspace_a)))
     return CellComplex(level, cells, ordered, tuple(dangling))
 

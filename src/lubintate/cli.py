@@ -1,22 +1,26 @@
 """Command line front end.
 
 One subcommand per toolkit area.  All output is deterministic: JSON is
-dumped with sorted keys, DOT and SVG renderings are built from sorted
-vertex and edge lists, so identical invocations produce identical bytes.
+written by `_encode`, which gives the bytes of `json.dumps(obj, indent=2,
+sort_keys=True)` without the standard library's pure-Python encoder, and
+DOT and SVG renderings are built from sorted vertex and edge lists, so
+identical invocations produce identical bytes.
 
 Exit codes: 0 on success, 1 on domain errors (collisions, budget or level
 failures, bad valuations) and when the reader closes stdout early, 2 on
-usage errors (argparse's own convention).
+usage errors (argparse's own convention).  `building` and `cells complex`
+refuse a radius whose ball and out-edges may need more than
+`building.BALL_WORK_BUDGET` neighbour lattices.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import building, cells, hecke, periods, polygon, wittlab
 from .valuations import frac_json
@@ -47,8 +51,52 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _encode(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte.
+
+    With `indent` set the standard library falls back to its pure-Python
+    encoder.  Here a list of only ints or only strs is one `str.join`, and
+    strings go through the C `encode_basestring_ascii`.  Dict keys must be
+    str: another key, or a value that is not a dict, list, tuple, str, int,
+    bool or None, raises TypeError.
+    """
+
+    def block(brackets, parts, depth):
+        pad = "\n" + "  " * (depth + 1)
+        return brackets[0] + pad + ("," + pad).join(parts) + pad[:-2] + brackets[1]
+
+    def enc(o, depth):
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            return block("{}", [encode_basestring_ascii(k) + ": " + enc(v, depth + 1)
+                                for k, v in sorted(o.items())], depth)
+        if not isinstance(o, (list, tuple)):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if not o:
+            return "[]"
+        kinds = set(map(type, o))
+        if kinds == {int}:
+            return block("[]", map(int.__repr__, o), depth)
+        if kinds == {str}:
+            return block("[]", map(encode_basestring_ascii, o), depth)
+        return block("[]", [enc(x, depth + 1) for x in o], depth)
+
+    return enc(obj, 0)
+
+
 def _dump(args, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2, sort_keys=True))
+    _emit(args, _encode(obj))
 
 
 # ---------------------------------------------------------------------

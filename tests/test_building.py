@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lubintate.building import (
+    BuildingVertex,
     Lattice,
     OrientedSimplex,
     act,
@@ -28,6 +29,12 @@ from lubintate.valuations import vp
 # ---------------------------------------------------------------------
 # Fraction oracles: Hermite reduction and back substitution over Q
 # ---------------------------------------------------------------------
+
+def fraction_cols(lat):
+    """The basis p^(-k) H of lat as Fraction columns."""
+    f = Fraction(lat.p) ** -lat.k
+    return tuple(tuple(x * f for x in c) for c in lat.H)
+
 
 def _canonical_residue(x, p, a):
     """Canonical representative of x + p^a Z_(p): p^w * (unit mod p^(a-w))."""
@@ -121,7 +128,8 @@ def test_lattice_canonical_form():
     assert same == lat
     shifted = lat.scale(2)
     assert shifted.det_val == 4
-    assert Lattice.from_cols(3, shifted.cols).contains(Lattice.from_cols(3, shifted.cols))
+    again = Lattice.from_cols(3, fraction_cols(shifted))
+    assert again.contains(again)
 
 
 def test_lattice_errors():
@@ -248,7 +256,7 @@ def test_oriented_simplex_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         OrientedSimplex([lam, lam], 0)
     with pytest.raises(ValueError, match="inside"):
-        OrientedSimplex([lam.scale(1), lam, Lattice.from_cols(3, lam.scale(-1).cols)], 0)
+        OrientedSimplex([lam.scale(1), lam, Lattice.from_cols(3, fraction_cols(lam.scale(-1)))], 0)
 
 
 def test_json_and_dot_smoke():
@@ -271,14 +279,14 @@ def test_hermite_form_matches_fraction_oracle(p, n, data):
             Lattice.from_cols(p, gens)
         return
     lat = Lattice.from_cols(p, gens)
-    assert lat.cols == want
+    assert fraction_cols(lat) == want
     assert lat.pivot_exponents == tuple(vp(want[j][j], p) for j in range(n))
     assert any(x % p for col in lat.H for x in col)  # the least shift k
     # the shift argument and scale() move k alone
     t = data.draw(st.integers(-3, 3))
     assert Lattice.from_cols(p, gens, t) == lat.scale(-t)
     scaled = [[x * Fraction(p) ** t for x in c] for c in gens]
-    assert lat.scale(t).cols == hermite_oracle(p, scaled)
+    assert fraction_cols(lat.scale(t)) == hermite_oracle(p, scaled)
 
 
 @settings(max_examples=150, deadline=None)
@@ -324,7 +332,8 @@ def test_contains_matches_back_substitution_oracle(p, n, data):
         mix = [[data.draw(st.integers(-4, 4)) * p ** data.draw(st.integers(0, 2))
                 for _ in range(n)] for _ in range(n)]
         assume(_det(mix) != 0)
-        small_gens = [[sum(m[k] * big.cols[k][r] for k in range(n)) for r in range(n)]
+        basis = fraction_cols(big)
+        small_gens = [[sum(m[k] * basis[k][r] for k in range(n)) for r in range(n)]
                       for m in mix]
     else:
         small_gens = data.draw(generator_sets(p, n, extra=0))
@@ -332,8 +341,8 @@ def test_contains_matches_back_substitution_oracle(p, n, data):
         small = Lattice.from_cols(p, small_gens)
     except ValueError:
         assume(False)
-    assert big.contains(small) == contains_oracle(p, big.cols, small.cols)
-    assert small.contains(big) == contains_oracle(p, small.cols, big.cols)
+    assert big.contains(small) == contains_oracle(p, fraction_cols(big), fraction_cols(small))
+    assert small.contains(big) == contains_oracle(p, fraction_cols(small), fraction_cols(big))
 
 
 @settings(max_examples=40, deadline=None)
@@ -369,3 +378,35 @@ def test_neighbour_matches_generator_oracle(p, n, data):
         for rows in echelon_subspaces(n, d, p):
             got, want = neighbour(v.lat, rows), _neighbour_oracle(v.lat, rows)
             assert (got.k, got.H, got.exps) == (want.k, want.H, want.exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=primes, n=dims, data=st.data())
+def test_integer_entries_match_fraction_cols(p, n, data):
+    gens = data.draw(generator_sets(p, n))
+    try:
+        lat = Lattice.from_cols(p, gens)
+    except ValueError:
+        return
+    lat = lat.scale(data.draw(st.integers(-4, 4)))  # k of either sign
+    want = tuple(tuple((x.numerator, x.denominator) for x in c) for c in fraction_cols(lat))
+    assert lat.entries == want
+    assert lat.sort_key() == tuple(x for c in want for x in c)
+    cols = BuildingVertex(lat, 0).json_dict()["cols"]
+    assert cols == [[str(x) for x in c] for c in fraction_cols(lat)]
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 3), (3, 2, 2), (3, 3, 1), (4, 2, 1)])
+def test_ball_and_dot_order_is_the_fraction_order(n, p, radius):
+    def fraction_key(v):
+        return v.h, tuple((x.numerator, x.denominator) for c in fraction_cols(v.lat) for x in c)
+
+    verts = ball(standard_vertex(p, n), radius)
+    assert verts == sorted(verts, key=fraction_key)
+    edges = [(v, w, i) for v in verts for w, i in out_edges(v) if w in set(verts)]
+    dot = to_dot(list(reversed(verts)), edges)
+    labels = [line for line in dot.splitlines() if "label=\"h=" in line]
+    assert labels == [
+        f'  v{k} [label="h={v.h} piv=[{",".join(map(str, v.lat.pivot_exponents))}]"];'
+        for k, v in enumerate(sorted(verts, key=fraction_key))
+    ]

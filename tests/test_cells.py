@@ -184,6 +184,28 @@ def test_assemble_complex_takes_no_canonical_quotient(monkeypatch):
         glue_edge(boundary_components(make_cell(standard_vertex(2, 3), 2), 1)[0])
 
 
+def test_assemble_complex_builds_one_boundary_polygon(monkeypatch):
+    verts = ball(standard_vertex(3, 2), 2)
+    verts = list(verts) + [descent(v) for v in verts]
+    real = cells.gh_boundary_polygon
+    calls = []
+
+    def counting(n, q):
+        calls.append((n, q))
+        return real(n, q)
+
+    monkeypatch.setattr(cells, "gh_boundary_polygon", counting)
+    cx = assemble_complex(verts)
+    assert calls == [(2, 3)]
+    d = cx.to_json_dict()
+    # the dict as built before: each cell's constraint built and written apart
+    assert d["cells"] == [
+        {"vertex": c.vertex.json_dict(),
+         "constraint": real(c.vertex.n, c.vertex.p).to_json_dict()}
+        for c in cx.cells
+    ]
+
+
 def _assemble_every_stratum(vertices, level=2):
     """The complex with the full glue_edge run on every stratum: the oracle."""
     verts = sorted(set(vertices), key=lambda v: v.sort_key())

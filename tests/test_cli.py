@@ -5,10 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lubintate.cli import main
+from lubintate import building
+from lubintate.cli import _encode, main
 
 
 def run(capsys, *argv):
@@ -288,3 +292,93 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "FAIL" not in proc.stdout
+
+
+# ---------------------------------------------------------------------
+# the JSON encoder against json.dumps(obj, indent=2, sort_keys=True)
+# ---------------------------------------------------------------------
+
+_texts = st.text() | st.text(alphabet='"\\/\x00\x01\x1f\x7f\n\t\r []{},:aé€\u2028\U0001f600')
+_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-(2 ** 90), 2 ** 90)
+            | _texts)
+
+
+def _trees(leaves):
+    return st.recursive(leaves, lambda kids: (
+        st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(_texts, kids, max_size=4)
+    ), max_leaves=24)
+
+
+def _stdlib(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_encode_matches_stdlib_on_random_trees(data):
+    shared = data.draw(_trees(_scalars))
+    # st.just yields the one object, so it recurs at equal and unequal depths
+    tree = data.draw(_trees(_scalars | st.just(shared)))
+    assert _encode(tree) == _stdlib(tree)
+    assert _encode([shared, tree, [shared], {"k": shared}]) == _stdlib(
+        [shared, tree, [shared], {"k": shared}])
+
+
+def test_encode_writes_a_shared_container_at_each_depth():
+    shared = {"rows": [[1, 0], [0, 1]], "tag": ["a", "b"], "none": [], "x": {}}
+    tree = [shared, {"a": shared, "b": [shared, [shared]]}, shared, ()]
+    assert _encode(tree) == _stdlib(tree)
+    assert _encode([[], {}, [[]], {"a": {}}, [{}], ""]) == _stdlib([[], {}, [[]], {"a": {}}, [{}], ""])
+    assert _encode([True, 1, False, 0, None]) == _stdlib([True, 1, False, 0, None])
+
+
+@pytest.mark.parametrize("obj", [
+    {1: "int key"},              # json.dumps writes "1"; _encode writes str keys only
+    {None: 0},
+    {"a": 1.5},                  # no floats in the program's output
+    [Fraction(1, 2)],
+    {"a": {1, 2}},
+])
+def test_encode_rejects_what_it_does_not_write(obj):
+    with pytest.raises(TypeError):
+        _encode(obj)
+
+
+# ---------------------------------------------------------------------
+# ball budget
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("building", "--n", "4", "--p", "2", "--radius", "3"),
+    ("building", "--n", "2", "--p", "2", "--radius", "11"),
+    ("building", "--n", "6", "--p", "2", "--radius", "1"),
+    ("building", "--n", "9", "--p", "2", "--radius", "0"),
+    ("cells", "complex", "--n", "9", "--p", "2", "--radius", "0"),
+    ("cells", "complex", "--n", "3", "--p", "2", "--radius", "4", "--lift"),
+    ("cells", "complex", "--n", "3", "--p", "3", "--radius", "3", "--format", "dot"),
+])
+def test_oversized_ball_exits_one_before_any_work(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(building, "out_edges", refuse)
+    monkeypatch.setattr(building, "neighbour", refuse)
+    monkeypatch.setattr(building, "proper_subspaces", refuse)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: a radius-")
+    assert f"more than {building.BALL_WORK_BUDGET} neighbour lattices" in captured.err
+
+
+@pytest.mark.parametrize("n, p, radius", [
+    (4, 2, 2), (3, 2, 3), (3, 3, 2), (2, 3, 3), (2, 2, 4), (2, 2, 10), (5, 2, 1), (1, 2, 10 ** 9),
+])
+def test_ball_budget_admits_the_pinned_and_guarded_balls(monkeypatch, n, p, radius):
+    def refuse(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(building, "out_edges", refuse)
+    with pytest.raises(AssertionError, match="search started"):
+        building.ball(building.standard_vertex(p, n), radius)
