@@ -1,4 +1,4 @@
-"""Vertices and oriented simplices of the lattice cell complex.
+"""Vertices and edges of the lattice cell complex.
 
 A vertex is a pair [Lambda, h]: a Z_(p)-lattice in Q^n up to the relation
 (Lambda, h) ~ (p Lambda, h - n); h records the power of the division
@@ -18,8 +18,8 @@ p Z^n + W, reduced above its pivots: no elimination (see neighbour).
 
 The height along an oriented edge b -> c (realized as Lambda_b < Lambda_c
 inside p^(-1) Lambda_b) rises by the dimension: h_c = h_b +
-dim(Lambda_c / Lambda_b).  This is the sign that makes edge reversal and
-simplex rotation land back on the same vertices.
+dim(Lambda_c / Lambda_b).  This is the sign that makes edge reversal
+land back on the same vertices.
 """
 
 from __future__ import annotations
@@ -308,66 +308,6 @@ def ball(a: BuildingVertex, radius: int):
                     nxt.append(w)
         frontier = nxt
     return sorted(seen, key=lambda v: v.sort_key())
-
-
-class OrientedSimplex:
-    """Chain Lambda_0 < ... < Lambda_r < p^(-1) Lambda_0 with a base height.
-
-    Vertex j of the simplex is [Lambda_j, h_0 + dim(Lambda_j/Lambda_0)].
-    Rotation moves the base point one step along the chain; r+1 rotations
-    return the original simplex (as vertex classes).
-    """
-
-    __slots__ = ("chain", "h0")
-
-    def __init__(self, chain, h0: int):
-        chain = list(chain)
-        if not chain:
-            raise ValueError("empty chain")
-        for sub, sup in zip(chain, chain[1:]):
-            if not sup.contains(sub) or sup == sub:
-                raise ValueError("chain must be strictly increasing")
-        top = chain[0].scale(-1)
-        if not top.contains(chain[-1]) or top == chain[-1]:
-            raise ValueError("chain must stay strictly inside p^(-1) Lambda_0")
-        self.chain = tuple(chain)
-        self.h0 = h0
-
-    @property
-    def dim(self) -> int:
-        return len(self.chain) - 1
-
-    def vertices(self):
-        base = self.chain[0]
-        out = []
-        for lam in self.chain:
-            d = lam_dim(base, lam)
-            out.append(make_vertex(lam, self.h0 + d))
-        return tuple(out)
-
-    def rotate(self) -> "OrientedSimplex":
-        base = self.chain[0]
-        nxt = self.chain[1] if len(self.chain) > 1 else None
-        shifted = base.scale(-1)
-        if nxt is None:
-            return OrientedSimplex([shifted], self.h0 + lam_dim(base, shifted))
-        new_chain = list(self.chain[1:]) + [shifted]
-        new_h0 = self.h0 + lam_dim(base, nxt)
-        return OrientedSimplex(new_chain, new_h0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OrientedSimplex) and self.vertices() == other.vertices()
-
-    def __hash__(self):
-        return hash(self.vertices())
-
-
-def lam_dim(sub: Lattice, sup: Lattice) -> int:
-    """dim(sup/sub) for sub ⊆ sup (difference of determinant valuations)."""
-    d = sub.det_val - sup.det_val
-    if d < 0:
-        raise ValueError("arguments are not nested")
-    return d
 
 
 def to_dot(vertices, edges) -> str:

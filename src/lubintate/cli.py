@@ -10,7 +10,9 @@ Exit codes: 0 on success, 1 on domain errors (collisions, budget or level
 failures, bad valuations) and when the reader closes stdout early, 2 on
 usage errors (argparse's own convention).  `building` and `cells complex`
 refuse a radius whose ball and out-edges may need more than
-`building.BALL_WORK_BUDGET` neighbour lattices.
+`building.BALL_WORK_BUDGET` neighbour lattices, and `periods` a depth past
+the budgets of `periods.check_budget`; both before any work starts.  An
+`--out` path that cannot be written exits 1 after the work.
 """
 
 from __future__ import annotations
@@ -104,14 +106,15 @@ def _dump(args, obj) -> None:
 # ---------------------------------------------------------------------
 
 def cmd_periods(args) -> int:
+    if args.cf2 and args.n != 2:
+        raise ValueError("the continued fraction form needs n = 2")
+    periods.check_budget(args.n, args.q, args.depth, args.cf2)
     pt = periods.period_series(args.n, args.q, args.depth)
     out = pt.to_json_dict()
     if args.product_check:
         other = periods.period_series_product(args.n, args.q, args.depth)
         out["product_matches"] = pt == other
     if args.cf2:
-        if args.n != 2:
-            raise ValueError("the continued fraction form needs n = 2")
         cf = periods.period_cf2(args.q, args.depth, cap=pt.cap)
         out["cf2"] = {
             "series": cf.series.to_json_dict(),
@@ -415,6 +418,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader closed stdout early: drop the rest
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
+    except OSError as exc:  # --out names a path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return code
 

@@ -46,20 +46,6 @@ def rref(rows, p: int):
     return clean, tuple(pivots)
 
 
-def span_dim(rows, p: int) -> int:
-    return len(rref(rows, p)[0])
-
-
-def in_span(vec, rows, p: int) -> bool:
-    base, _ = rref(rows, p)
-    extended, _ = rref(list(base) + [vec], p)
-    return len(extended) == len(base)
-
-
-def span_equal(rows_a, rows_b, p: int) -> bool:
-    return rref(rows_a, p)[0] == rref(rows_b, p)[0]
-
-
 def span_contains(rows_big, rows_small, p: int) -> bool:
     big, _ = rref(rows_big, p)
     joint, _ = rref(list(big) + list(rows_small), p)

@@ -23,12 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polygon import (
-    NewtonPolygon,
-    boundary_indices,
-    in_gross_hopkins,
-    in_H,
-)
+from .polygon import NewtonPolygon, in_gross_hopkins
 from .valuations import INF, Val, sum_terms
 
 
@@ -38,32 +33,6 @@ class NonGenericCollision(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """Reduction did not reach the good domain within the step budget."""
-
-
-@dataclass(frozen=True)
-class KernelType:
-    """Isotypic shape of a pi^k-kernel: r_1 >= r_2 >= ... >= r_k >= 1.
-
-    Level m of the kernel has rank q^(r_m); the height is sum(r).
-    """
-
-    r: tuple
-
-    def __post_init__(self):
-        r = tuple(int(x) for x in self.r)
-        object.__setattr__(self, "r", r)
-        if any(x < 1 for x in r):
-            raise ValueError("kernel ranks must be >= 1")
-        if any(r[m] < r[m + 1] for m in range(len(r) - 1)):
-            raise ValueError("kernel ranks must be non-increasing")
-
-    @property
-    def k(self) -> int:
-        return len(self.r)
-
-    @property
-    def height(self) -> int:
-        return sum(self.r)
 
 
 @dataclass(frozen=True)
@@ -182,61 +151,6 @@ def boundary_quotient_profile(poly: NewtonPolygon, i: int):
 
 
 @dataclass(frozen=True)
-class KernelImageReport:
-    values: tuple
-    sum_values: Fraction
-    lower_bound: Fraction
-    upper_bound: Fraction
-
-
-def kernel_image_values(poly: NewtonPolygon, kt: KernelType, flags) -> KernelImageReport:
-    """Valuation profile of f(M') for a pi^k-kernel of type kt.
-
-    flags a_1 <= ... <= a_r (r = r_k, a_j >= j) selects which slope strata
-    survive into f(M'); the values are lambda_{a_j} / q^(nk - height) with
-    multiplicity q^j - q^(j-1).  Also reports the two bounding sums: any
-    admissible M' must reach sum >= lower_bound, while on D the achievable
-    sum is <= upper_bound; for k >= 2 upper < lower, certifying that no
-    such submodule exists over the good domain.
-    """
-    n, q = poly.n, poly.q
-    if not in_gross_hopkins(poly):
-        raise ValueError("kernel image profile requires the polygon in D")
-    if kt.r and kt.r[0] > n - 1:
-        raise ValueError("kernel rank exceeds n-1")
-    flags = tuple(int(a) for a in flags)
-    r = kt.r[-1] if kt.r else 0
-    if len(flags) != r:
-        raise ValueError("need one flag per surviving rank")
-    if any(flags[j] < flags[j - 1] for j in range(1, len(flags))):
-        raise ValueError("flags must be non-decreasing")
-    if any(a < j + 1 or a > n for j, a in enumerate(flags)):
-        raise ValueError("flag a_j must satisfy j <= a_j <= n")
-    if not kt.r:
-        return KernelImageReport((), Fraction(0), Fraction(0), Fraction(0))
-    k = kt.k
-    gap = n * k - kt.height
-    scale = q ** gap
-    values = []
-    total = Fraction(0)
-    for j, a in enumerate(flags, start=1):
-        v = poly.slopes[a - 1] / scale
-        mult = q ** j - q ** (j - 1)
-        values.append((v, mult))
-        total += v * mult
-    lower = Fraction(r, n * q ** (n - r))
-    upper = Fraction(r, n * q ** (n + (k - 1) - r))
-    return KernelImageReport(tuple(values), total, lower, upper)
-
-
-def admissible_targets(poly: NewtonPolygon):
-    """Ranks i whose canonical quotient stays on the boundary strata of D."""
-    if not in_gross_hopkins(poly):
-        raise ValueError("admissible targets are defined on the good domain")
-    return tuple(sorted(boundary_indices(poly)))
-
-
-@dataclass(frozen=True)
 class ReduceResult:
     initial: NewtonPolygon
     final: NewtonPolygon
@@ -276,35 +190,3 @@ def reduce_to_domain(poly: NewtonPolygon, budget: int = 32) -> ReduceResult:
         trail.append(current)
     return ReduceResult(poly, current, tuple(steps), tuple(trail))
 
-
-@dataclass(frozen=True)
-class DistinctnessCertificate:
-    gap: int
-    candidate_max: Fraction
-    slope_min: Fraction
-    holds: bool
-
-
-def distinctness_certificate(poly: NewtonPolygon, kt: KernelType) -> DistinctnessCertificate:
-    """Certificate that a pi-power kernel type cannot mimic pi-torsion.
-
-    For a polygon in H and a type of height divisible by n, the candidate
-    values lambda_a / q^gap (gap = nk - height, a positive multiple of n)
-    all sit strictly below every slope: lambda_a / q^gap <= lambda_1 / q^n
-    < lambda_n.  The image multiset can therefore never equal the original
-    profile unless the kernel is pi-power itself.
-    """
-    n, q = poly.n, poly.q
-    if not in_H(poly):
-        raise ValueError("certificate requires the polygon in H")
-    if kt.r and kt.r[0] > n - 1:
-        raise ValueError("kernel rank exceeds n-1")
-    if kt.height % n:
-        raise ValueError("certificate applies to heights divisible by n")
-    gap = n * kt.k - kt.height
-    if gap < n:
-        raise AssertionError("gap must be a positive multiple of n")
-    candidate_max = poly.slopes[0] / q ** gap
-    slope_min = poly.slopes[-1]
-    holds = candidate_max <= poly.slopes[0] / q ** n < slope_min
-    return DistinctnessCertificate(gap, candidate_max, slope_min, holds)

@@ -24,6 +24,41 @@ from .series import SeriesMatrix, TruncSeries
 from .valuations import INF, LaurentCoeff, RamifiedRing, Val, prime_power_split
 
 
+SERIES_TERM_BUDGET = 100_000  # the most terms a period tuple may hold
+CF2_MAX_DEPTH = 6  # cf2_convention reruns the recurrence at twice the depth
+CF2_CAP_BUDGET = 2 ** 20  # the most exponents q^depth the cf2 quotient series may span
+
+
+def check_budget(n: int, q: int, depth: int, cf2: bool = False) -> None:
+    """Refuse, before any series work, a period tuple that may hold more than
+    SERIES_TERM_BUDGET terms, and with cf2 a depth above CF2_MAX_DEPTH or a
+    cap q^depth above CF2_CAP_BUDGET.
+
+    Step k of the recurrence adds f_(k mod n) to every other component, so
+    the term counts follow that update when nothing cancels (an n-step
+    Fibonacci count, the same for every q).  The bound counts one slot per
+    component plus the terms each step adds; it grows by at least n - 1 per
+    step, so the count stops within the budget.
+    """
+    if n < 2 or depth < 0:
+        raise ValueError("need n >= 2 and depth >= 0")
+    total = n
+    if total <= SERIES_TERM_BUDGET:
+        sizes = [1] + [0] * (n - 1)
+        for k in range(depth):
+            b = k % n
+            total += (n - 1) * sizes[b]
+            if total > SERIES_TERM_BUDGET:
+                break
+            sizes = [s + sizes[b] if i != b else s for i, s in enumerate(sizes)]
+    if total > SERIES_TERM_BUDGET:
+        raise ValueError(f"periods at n = {n}, depth = {depth} may hold more than "
+                         f"{SERIES_TERM_BUDGET} series terms")
+    if cf2 and (depth > CF2_MAX_DEPTH or q ** depth > CF2_CAP_BUDGET):
+        raise ValueError(f"--cf2 needs depth <= {CF2_MAX_DEPTH} and q^depth <= "
+                         f"{CF2_CAP_BUDGET}, got depth = {depth} and q = {q}")
+
+
 def default_coeff_ring(p: int = 2, N: int = 16) -> RamifiedRing:
     """Unramified coefficient ring; pi = p at desk scale."""
     return RamifiedRing(p, 1, N)

@@ -61,17 +61,6 @@ class NewtonPolygon:
     def vertex_points(self):
         return [(self.q ** i, self.vertex_vals[i]) for i in range(self.n + 1)]
 
-    def hull_value(self, x) -> Fraction:
-        """Piecewise-linear hull value at abscissa x in [1, q^n]."""
-        x = Fraction(x)
-        if not 1 <= x <= self.q ** self.n:
-            raise ValueError("abscissa outside [1, q^n]")
-        for j in range(1, self.n + 1):
-            left, right = self.q ** (j - 1), self.q ** j
-            if x <= right:
-                return self.vertex_vals[j - 1] - self.slopes[j - 1] * (x - left)
-        raise AssertionError("unreachable")
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NewtonPolygon)

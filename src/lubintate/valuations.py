@@ -225,13 +225,6 @@ class RamifiedRing:
     def from_int(self, a: int) -> "RamifiedElement":
         return RamifiedElement(self, (a % self.mod,) + (0,) * (self.m - 1))
 
-    def from_rational(self, x) -> "RamifiedElement":
-        x = Fraction(x)
-        num, den = x.numerator, x.denominator
-        if den % self.p == 0:
-            raise ValueError("denominator not prime to p; use LaurentCoeff")
-        return self.from_int(num * pow(den, -1, self.mod))
-
     def uniformizer(self, k: int = 1) -> "RamifiedElement":
         """u^k for 0 <= k; zero once k reaches m*N."""
         if k < 0:

@@ -1,4 +1,4 @@
-"""Ramified Witt vectors, divided-power logarithms, and Dieudonne slopes.
+"""Ramified Witt vectors and divided-power logarithms.
 
 The structure polynomials for W_O (coefficient ring O with uniformizer pi
 and residue field F_q, q = p^f) are solved from the ghost components
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .fqlin import rational_inverse
 from .valuations import prime_power_split, sum_terms, vp
 
 # ramification indices e at which check_o_integrality folds pi^e = p
@@ -530,90 +529,3 @@ def scalar_witt_elems(law: WittLaw, ring, c: Fraction):
     comps = const_witt(law, {(0, ()): Fraction(c)})
     return tuple(eval_expr(comp, ring, {}) for comp in comps)
 
-
-def alternating_inverse(ring, op, x, bound: int = 64):
-    """sum_k (-1)^k op^k(x); inverts (id + op) when op is nilpotent."""
-    acc = x
-    term = x
-    for _ in range(bound):
-        term = ring.neg(op(term))
-        if ring.eq(term, ring.zero):
-            return acc
-        acc = ring.add(acc, term)
-    raise ArithmeticError("operator not nilpotent within bound")
-
-
-# ---------------------------------------------------------------------
-# Dieudonne data with O-action
-# ---------------------------------------------------------------------
-
-def _least_vp(rows, p: int) -> int:
-    """Least v_p of the nonzero entries: the first Smith invariant over Z_(p)."""
-    return min(vp(x, p) for row in rows for x in row if x)
-
-
-@dataclass(frozen=True)
-class DieudonneReport:
-    height: int        # over Z_p
-    height_o: int      # over O: height / f0
-    slope: Fraction    # v_p(det phi_O) / height_o, in [0, 1]
-    dim_o: Fraction
-    etale: bool
-    phi_pi_exp: int
-    phi_matrix: tuple
-
-
-def dieudonne_O(p: int, blocks, e: int = 1) -> DieudonneReport:
-    """O-typical slope data from Frobenius blocks along the f0 embeddings.
-
-    blocks[i] is F restricted to the i-th embedding component.  V = p/F
-    must be integral everywhere and invertible away from the 0th component
-    (Smith invariants exactly p there).  phi_O = pi * p^(-f0) * product of
-    the blocks; its determinant valuation per unit of O-height is the slope.
-
-    Only the extreme Smith invariants are needed: the least is the least
-    entry valuation of a matrix, the greatest is minus that of its inverse.
-    """
-    f0 = len(blocks)
-    if f0 < 1 or not blocks[0]:
-        raise ValueError("need at least one nonempty block")
-    d = len(blocks[0])
-    mats = [[[Fraction(x) for x in row] for row in blk] for blk in blocks]
-    for idx, mat in enumerate(mats):
-        if len(mat) != d or any(len(row) != d for row in mat):
-            raise ValueError("blocks must be square of equal size")
-        lo, hi = _least_vp(mat, p), -_least_vp(rational_inverse(mat)[0], p)
-        if lo < 0:
-            raise ValueError(f"block {idx}: F is not integral")
-        if hi > 1:
-            raise ValueError(f"block {idx}: V = p/F is not integral")
-        if idx != 0 and (lo, hi) != (1, 1):
-            raise ValueError(
-                f"block {idx}: V must be invertible away from component 0"
-            )
-
-    prod = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for mat in mats:
-        prod = [
-            [sum(mat[i][k] * prod[k][j] for k in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-    scale = Fraction(1, p ** f0)
-    phi = tuple(tuple(scale * x for x in row) for row in prod)
-    # pi*M <= phi_O(M): with phi_O = pi*phi this is Smith(phi) <= 0, which
-    # follows from per-block V-integrality (p*F^-1 integral multiplies up).
-    phi_inv, det = rational_inverse(phi)
-    if _least_vp(phi_inv, p) < 0:
-        raise RuntimeError("phi_O violates the Smith bound pi*M <= phi_O(M)")
-    slope = (Fraction(d, e) + Fraction(vp(det, p))) / d
-    if not 0 <= slope <= 1:
-        raise ValueError(f"slope {slope} outside [0, 1]")
-    return DieudonneReport(
-        height=f0 * d,
-        height_o=d,
-        slope=slope,
-        dim_o=slope * d,
-        etale=slope == 0,
-        phi_pi_exp=1,
-        phi_matrix=phi,
-    )

@@ -1,4 +1,4 @@
-"""Lattice vertices, edges, balls, group action, oriented simplices."""
+"""Lattice vertices, edges, balls and group action."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from lubintate.building import (
     BuildingVertex,
     Lattice,
-    OrientedSimplex,
     act,
     ball,
     descent,
-    lam_dim,
     make_vertex,
     neighbour,
     out_edges,
@@ -145,10 +143,6 @@ def test_lattice_containment_and_quotient():
     lat = Lattice.from_cols(2, [[1, 0], [0, 1]])
     sub = Lattice.from_cols(2, [[2, 0], [0, 1]])
     assert lat.contains(sub) and not sub.contains(lat)
-    assert lam_dim(sub, lat) == 1
-    assert lam_dim(lat.scale(1), lat) == 2
-    with pytest.raises(ValueError, match="not nested"):
-        lam_dim(lat, sub)
 
 
 def test_vertex_normalization():
@@ -237,26 +231,6 @@ def test_act_rejects_singular():
     a = standard_vertex(2, 2)
     with pytest.raises(ValueError, match="singular"):
         act([[1, 1], [1, 1]], 0, a)
-
-
-def test_oriented_simplex_rotation():
-    v = standard_vertex(3, 2)
-    lam = v.lat
-    sub = Lattice.from_cols(3, [[3, 0], [0, 3], [1, 0]])  # 3*lam + lift of (1, 0)
-    s = OrientedSimplex([sub, lam], 5)
-    assert s.dim == 1
-    assert [x.h for x in s.vertices()] == [5, 6]
-    assert s.rotate() != s
-    assert s.rotate().rotate() == s
-
-
-def test_oriented_simplex_validation():
-    v = standard_vertex(3, 2)
-    lam = v.lat
-    with pytest.raises(ValueError, match="strictly increasing"):
-        OrientedSimplex([lam, lam], 0)
-    with pytest.raises(ValueError, match="inside"):
-        OrientedSimplex([lam.scale(1), lam, Lattice.from_cols(3, fraction_cols(lam.scale(-1)))], 0)
 
 
 def test_json_and_dot_smoke():

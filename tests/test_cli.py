@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lubintate import building
+from lubintate import building, periods
 from lubintate.cli import _encode, main
 
 
@@ -285,6 +285,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert d["lambda_1"] == {"num": 1, "den": 4}
 
 
+@pytest.mark.parametrize("where", ("missing/x.json", "."))
+def test_unwritable_out_exits_one(tmp_path, capsys, where):
+    # a path under a missing directory, and a directory
+    code = main(["polygon", "--n", "2", "--q", "2", "--vals", "1/2",
+                 "--out", str(tmp_path / where)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: [Errno ") and captured.err.count("\n") == 1
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "lubintate.cli", "selftest"],
@@ -382,3 +392,60 @@ def test_ball_budget_admits_the_pinned_and_guarded_balls(monkeypatch, n, p, radi
     monkeypatch.setattr(building, "out_edges", refuse)
     with pytest.raises(AssertionError, match="search started"):
         building.ball(building.standard_vertex(p, n), radius)
+
+
+# ---------------------------------------------------------------------
+# periods budget
+# ---------------------------------------------------------------------
+
+def _refuse_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("series work started")
+
+    for name in ("period_series", "period_series_product", "period_cf2",
+                 "cf2_convention", "cf2_cross_check"):
+        monkeypatch.setattr(periods, name, refuse)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "2", "--q", "2", "--depth", "40"), "more than 100000 series terms"),
+    (("--n", "2", "--q", "2", "--depth", "24", "--product-check"), "more than 100000 series terms"),
+    (("--n", "2", "--q", "3", "--depth", str(10 ** 9)), "more than 100000 series terms"),
+    (("--n", "5", "--q", "2", "--depth", "17"), "more than 100000 series terms"),
+    (("--n", "200001", "--q", "2", "--depth", "0"), "more than 100000 series terms"),
+    (("--n", "2", "--q", "2", "--depth", "7", "--cf2"), "--cf2 needs depth <= 6"),
+    (("--n", "2", "--q", "1024", "--depth", "3", "--cf2"), "q^depth <= 1048576"),
+    (("--n", "3", "--q", "2", "--depth", "2", "--cf2"), "needs n = 2"),
+])
+def test_oversized_periods_exit_one_before_any_series_work(capsys, monkeypatch, argv, message):
+    _refuse_series(monkeypatch)
+    code = main(["periods", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("n, q, depth, cf2", [
+    # the pinned, bench and CI invocations
+    (3, 2, 4, False), (2, 2, 10, False), (2, 3, 6, False), (3, 2, 6, False), (4, 2, 5, False),
+    (3, 3, 4, False), (2, 2, 2, True), (2, 2, 3, True), (2, 3, 2, True), (2, 2, 4, True),
+    (2, 2, 5, True), (2, 2, 6, True),
+    # the largest depths under the term budget, and the largest cf2 caps
+    (2, 2, 23, False), (3, 2, 15, False), (4, 3, 14, False), (6, 2, 12, False),
+    (2, 8, 6, True), (2, 16, 5, True), (2, 32, 4, True), (2, 2, 0, True),
+])
+def test_periods_budget_admits_the_pinned_and_guarded_depths(n, q, depth, cf2):
+    periods.check_budget(n, q, depth, cf2)
+
+
+def test_periods_term_bound_is_the_recurrence_count(monkeypatch):
+    # nothing cancels here, so the bound is the term count plus one slot per
+    # component but the first: a budget one below it refuses, at it admits
+    for n, q, depth in ((2, 2, 12), (3, 3, 8), (4, 2, 7), (5, 5, 6)):
+        pt = periods.period_series(n, q, depth)
+        bound = sum(len(f.coeffs) for f in pt.f) + n - 1
+        monkeypatch.setattr(periods, "SERIES_TERM_BUDGET", bound)
+        periods.check_budget(n, q, depth)
+        monkeypatch.setattr(periods, "SERIES_TERM_BUDGET", bound - 1)
+        with pytest.raises(ValueError, match="series terms"):
+            periods.check_budget(n, q, depth)

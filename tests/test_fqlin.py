@@ -6,14 +6,11 @@ from lubintate.fqlin import (
     echelon_subspaces,
     gaussian_binomial,
     image_rows,
-    in_span,
     kernel_basis,
     mat_mul,
     mat_vec,
     rref,
     span_contains,
-    span_dim,
-    span_equal,
 )
 
 
@@ -23,7 +20,7 @@ def test_rref_canonical_form():
     assert pivots == (0, 2)
     # rref is idempotent and a canonical span representative
     assert rref(rows, 5) == (rows, pivots)
-    assert span_equal([(2, 4, 0), (1, 2, 1)], [(1, 2, 0), (3, 6, 2)], 5)
+    assert rref([(1, 2, 0), (3, 6, 2)], 5)[0] == rows
 
 
 def test_rref_drops_zero_rows():
@@ -38,7 +35,7 @@ def test_kernel_basis_annihilates():
             m, n = rng.randint(1, 4), rng.randint(1, 5)
             A = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(m)]
             ker = kernel_basis(A, p)
-            assert span_dim(A, p) + len(ker) == n
+            assert len(rref(A, p)[0]) + len(ker) == n
             for v in ker:
                 assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in A)
 
@@ -54,14 +51,12 @@ def test_image_rows_is_span_of_images():
     A = [(1, 1, 0), (0, 1, 1), (0, 0, 0)]
     # A.(1,0,0) = (1,0,0), A.(0,1,0) = (1,1,0)
     img = image_rows(A, [(1, 0, 0), (0, 1, 0)], 2)
-    assert span_equal(img, [(1, 0, 0), (0, 1, 0)], 2)
+    assert rref(img, 2)[0] == rref([(1, 0, 0), (0, 1, 0)], 2)[0]
     assert img == ((1, 0, 0), (0, 1, 0))
 
 
 def test_in_span_and_containment():
     base = [(1, 0, 1), (0, 1, 1)]
-    assert in_span((1, 1, 0), base, 2)
-    assert not in_span((0, 0, 1), base, 2)
     assert span_contains(base, [(1, 1, 0)], 2)
     assert not span_contains([(1, 1, 0)], base, 2)
 

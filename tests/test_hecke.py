@@ -1,21 +1,18 @@
-"""Canonical-subgroup quotients, reduction into the good domain, certificates."""
+"""Canonical-subgroup quotients and reduction into the good domain."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lubintate import hecke
 from lubintate.hecke import (
     BudgetExceeded,
-    KernelType,
     NonGenericCollision,
     boundary_quotient_profile,
     canonical_quotient,
-    distinctness_certificate,
-    kernel_image_values,
     reduce_to_domain,
 )
 from lubintate.polygon import (
@@ -27,15 +24,6 @@ from lubintate.polygon import (
     polygon_from_vals,
 )
 from lubintate.valuations import INF, Val, sum_terms
-
-
-def test_kernel_type_validation():
-    kt = KernelType((2, 2, 1))
-    assert kt.k == 3 and kt.height == 5
-    with pytest.raises(ValueError, match="non-increasing"):
-        KernelType((1, 2))
-    with pytest.raises(ValueError, match=">= 1"):
-        KernelType((1, 0))
 
 
 def test_quotient_kernel_and_mass():
@@ -99,59 +87,37 @@ def test_quotient_requires_rupture():
         canonical_quotient(polygon_from_vals(2, 3, [Fraction(2, 5)]), 2)
 
 
-def test_boundary_profile_matches_generic_algorithm():
-    for n in (2, 3):
-        for q in (2, 3):
-            poly = gh_boundary_polygon(n, q)
-            for i in range(1, n):
-                step = canonical_quotient(poly, i)
-                closed = boundary_quotient_profile(poly, i)
-                assert step.image_values == closed, (n, q, i)
+@st.composite
+def ruptures_in_D(draw):
+    """(poly, i): a polygon in D, from v(x_i) >= 1 - i/n, with a rupture at i."""
+    n = draw(st.integers(2, 6))
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    vals = [draw(st.one_of(st.just(INF), st.fractions(
+        min_value=Fraction(n - i, n), max_value=3, max_denominator=64))) for i in range(1, n)]
+    poly = polygon_from_vals(n, q, vals)
+    ruptures = [i for i in range(1, n) if poly.slopes[i - 1] > poly.slopes[i]]
+    assume(ruptures)
+    return poly, draw(st.sampled_from(ruptures))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ruptures_in_D())
+@example(case=(gh_boundary_polygon(2, 2), 1))
+@example(case=(gh_boundary_polygon(2, 3), 1))
+@example(case=(gh_boundary_polygon(3, 2), 1))
+@example(case=(gh_boundary_polygon(3, 2), 2))
+@example(case=(gh_boundary_polygon(3, 3), 1))
+@example(case=(gh_boundary_polygon(3, 3), 2))
+def test_boundary_profile_matches_generic_algorithm(case):
+    poly, i = case
+    assert in_gross_hopkins(poly)
+    assert canonical_quotient(poly, i).image_values == boundary_quotient_profile(poly, i)
 
 
 def test_boundary_profile_requires_domain():
     poly = polygon_from_vals(2, 3, [Fraction(3, 10)])
     with pytest.raises(ValueError, match="good domain"):
         boundary_quotient_profile(poly, 1)
-
-
-def test_admissible_targets():
-    assert hecke.admissible_targets(gh_boundary_polygon(3, 2)) == (1, 2)
-    interior = polygon_from_vals(2, 3, [Fraction(3, 4)])
-    assert hecke.admissible_targets(interior) == ()
-
-
-def test_kernel_image_bounds_exclude_deep_kernels():
-    poly = gh_boundary_polygon(3, 2)
-    kt = KernelType((2, 2))
-    rep = kernel_image_values(poly, kt, (1, 2))
-    assert sum(m for _, m in rep.values) == 2**2 - 1
-    # k >= 2 pushes the achievable sum strictly below the requirement
-    assert rep.upper_bound < rep.lower_bound
-    k1 = kernel_image_values(poly, KernelType((2,)), (1, 2))
-    assert k1.lower_bound == k1.upper_bound
-
-
-def test_kernel_image_flag_validation():
-    poly = gh_boundary_polygon(3, 2)
-    with pytest.raises(ValueError, match="one flag"):
-        kernel_image_values(poly, KernelType((2,)), (1,))
-    with pytest.raises(ValueError, match="non-decreasing"):
-        kernel_image_values(poly, KernelType((2,)), (2, 1))
-    with pytest.raises(ValueError, match="a_j"):
-        kernel_image_values(poly, KernelType((2,)), (1, 5))
-
-
-def test_distinctness_certificate():
-    poly = polygon_from_vals(2, 3, [Fraction(1, 2)])
-    cert = distinctness_certificate(poly, KernelType((1, 1)))
-    assert cert.gap == 2 and cert.holds
-    assert cert.candidate_max < cert.slope_min
-    with pytest.raises(ValueError, match="divisible"):
-        distinctness_certificate(poly, KernelType((1,)))
-    not_h = polygon_from_vals(2, 2, [Fraction(1, 3)])
-    with pytest.raises(ValueError, match="H"):
-        distinctness_certificate(not_h, KernelType((1, 1)))
 
 
 # ---------------------------------------------------------------------

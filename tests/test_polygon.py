@@ -129,15 +129,6 @@ def test_coordinate_D_condition_matches_hull_predicate():
         assert in_gross_hopkins(poly) == vals_in_gross_hopkins(3, list(vals)), vals
 
 
-def test_hull_value():
-    poly = polygon_from_vals(2, 3, [Fraction(1, 2)])
-    for i, (x, y) in enumerate(poly.vertex_points()):
-        assert poly.hull_value(x) == y
-    assert poly.hull_value(2) == 1 - Fraction(1, 4)
-    with pytest.raises(ValueError, match="abscissa"):
-        poly.hull_value(10)
-
-
 def test_torsion_valuations_counts():
     poly = polygon_from_vals(2, 3, [Fraction(1, 2)])
     for k in (1, 2, 3):

@@ -96,14 +96,6 @@ def test_inverse_of_unit():
         R.from_int(5).inverse()  # not a unit
 
 
-def test_from_rational_matches_quotient():
-    R = RamifiedRing(3, 1, 9)
-    x = R.from_rational(Fraction(7, 5))
-    assert x * R.from_int(5) == R.from_int(7)
-    with pytest.raises(ValueError):
-        R.from_rational(Fraction(1, 3))  # denominator not a unit
-
-
 def test_below_precision_flag():
     R = RamifiedRing(2, 1, 12)
     big = R.from_int(2 ** 12)

@@ -1,4 +1,4 @@
-"""Ramified Witt laws, divided-power model rings, Dieudonne slope data."""
+"""Ramified Witt laws and divided-power model rings."""
 
 import os
 import random
@@ -22,14 +22,11 @@ from lubintate.wittlab import (
     LocalIntegers,
     RamifiedNilpotents,
     WittLaw,
-    _least_vp,
     _mul,
     _pow,
-    alternating_inverse,
     check_o_integrality,
     const_witt,
     delta_pi_exponent,
-    dieudonne_O,
     eval_witt_op,
     exp_opd,
     log_opd,
@@ -210,95 +207,6 @@ def test_teichmueller_symbolic_shape():
     assert teichmueller(law, var("a")) == (var("a"), {}, {})
 
 
-def test_alternating_inverse_on_nilpotents():
-    ring = RamifiedNilpotents()
-    s = (0, 1, 0, 0)
-    op = lambda x: ring.mul(s, x)
-    inv = alternating_inverse(ring, op, s)
-    assert inv == (0, 1, 1, 1)  # s + s^2 + s^3
-    assert ring.eq(ring.add(inv, op(inv)), s)
-    with pytest.raises(ArithmeticError, match="nilpotent"):
-        alternating_inverse(ring, lambda x: x, ring.one, bound=8)
-
-
-def test_alternating_inverse_corrects_a_map_by_pi_op():
-    ring = RamifiedNilpotents()
-    s = (0, 1, 0, 0)
-    op = lambda x: ring.mul(s, x)
-    f = lambda x: ring.mul(x, x)
-    for x in ring.sample_B():
-        g = alternating_inverse(ring, op, f(x))
-        assert ring.eq(ring.add(g, op(g)), f(x))
-        # a zero correction operator leaves f(x) unchanged
-        assert ring.eq(alternating_inverse(ring, lambda y: ring.zero, f(x)), f(x))
-
-
-def test_dieudonne_examples():
-    lt = dieudonne_O(2, [[(0, 1), (2, 0)]])
-    assert lt.slope == Fraction(1, 2) and lt.height == 2 and not lt.etale
-
-    et = dieudonne_O(3, [[(1,)]])
-    assert et.slope == 0 and et.etale
-    assert et.phi_matrix == ((Fraction(1, 3),),)
-
-    mult = dieudonne_O(3, [[(3,)]])
-    assert mult.slope == 1 and not mult.etale
-
-    two = dieudonne_O(3, [[(1,)], [(3,)]])
-    assert two.height == 2 and two.height_o == 1
-    assert two.slope == 0
-
-
-def test_dieudonne_rejections():
-    with pytest.raises(ValueError, match="F is not integral"):
-        dieudonne_O(2, [[(Fraction(1, 2),)]])
-    with pytest.raises(ValueError, match="V = p/F"):
-        dieudonne_O(2, [[(4,)]])
-    with pytest.raises(ValueError, match="invertible away"):
-        dieudonne_O(2, [[(1,)], [(1,)]])
-    with pytest.raises(ValueError, match="at least one"):
-        dieudonne_O(2, [])
-    with pytest.raises(ValueError, match="at least one nonempty"):
-        dieudonne_O(2, [[]])
-
-
-def _smith_vp(rows, p: int):
-    """Oracle: v_p of all Smith invariants of a square matrix over Z_(p)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    out = []
-    size = n
-    while size > 0:
-        best = None
-        for i in range(size):
-            for j in range(size):
-                if m[i][j] != 0:
-                    v = vp(m[i][j], p)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        if best is None:
-            raise ValueError("matrix is singular")
-        v, bi, bj = best
-        m[0], m[bi] = m[bi], m[0]
-        for row in m:
-            row[0], row[bj] = row[bj], row[0]
-        piv = m[0][0]
-        for i in range(1, size):
-            factor = m[i][0] / piv
-            m[i] = [m[i][j] - factor * m[0][j] for j in range(size)]
-        for j in range(1, size):
-            factor = m[0][j] / piv
-            for i in range(size):
-                m[i][j] -= factor * m[i][0]
-        out.append(v)
-        m = [row[1:] for row in m[1:]]
-        size -= 1
-    return sorted(out)
-
-
 def _det(rows):
     """Oracle: determinant by forward elimination."""
     m = [list(row) for row in rows]
@@ -347,8 +255,6 @@ def test_rational_inverse_matches_elimination_oracles(p, d, shape, data):
     assert got == det
     assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*inv)] for row in g] == [
         [int(i == j) for j in range(d)] for i in range(d)]
-    smith = _smith_vp(g, p)
-    assert (_least_vp(g, p), -_least_vp(inv, p)) == (smith[0], smith[-1])
 
 
 # ---------------------------------------------------------------------
