@@ -10,14 +10,18 @@ Exit codes: 0 on success, 1 on domain errors (collisions, budget or level
 failures, bad valuations) and when the reader closes stdout early, 2 on
 usage errors (argparse's own convention).  `building` and `cells complex`
 refuse a radius whose ball and out-edges may need more than
-`building.BALL_WORK_BUDGET` neighbour lattices, and `periods` a depth past
-the budgets of `periods.check_budget`; both before any work starts.  An
-`--out` path that cannot be written exits 1 after the work.
+`building.BALL_WORK_BUDGET` neighbour lattices, `periods` a depth past
+the budgets of `periods.check_budget`, and `witt selftest` a (max-n, q)
+past `wittlab.SELFTEST_MAX_Q`; all before any work starts.  So is an
+`--out` path whose directory is missing or that names a directory; one
+that still cannot be written exits 1 after the work.  The `--out` file is
+opened only once the output is complete, so a failed run leaves it as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -41,6 +45,14 @@ def _parse_vals(text: str):
 
 def _value_mult_list(pairs):
     return [{"val": frac_json(v), "mult": m} for v, m in pairs]
+
+
+def _check_out(path: str) -> None:
+    """Raise what `open(path, "w")` would for a directory or a missing parent."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _emit(args, text: str) -> None:
@@ -252,9 +264,8 @@ def _witt_checks(laws):
 
 
 def cmd_witt_selftest(args) -> int:
-    if args.max_n < 1:
-        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     qs = [int(x) for x in args.q.split(",")]
+    wittlab.check_selftest_budget(args.max_n, qs)
     laws = [wittlab.witt_structure_polys(N, q)
             for q in qs for N in range(1, args.max_n + 1)]
     failures = 0
@@ -410,6 +421,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except (ValueError, ArithmeticError, RuntimeError) as exc:

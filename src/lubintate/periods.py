@@ -19,6 +19,8 @@ about truncated objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .series import SeriesMatrix, TruncSeries
 from .valuations import INF, LaurentCoeff, RamifiedRing, Val, prime_power_split
@@ -193,9 +195,9 @@ def period_series_product(n: int, q: int, depth: int, cap: int | None = None,
     M = SeriesMatrix([[one] + [zero] * (n - 1)])
     for j in range(depth):
         M = M * disp.A.frobenius_twist(q, j)
-    Binv = b_inverse(n, cap, ring)
-    for _ in range(depth):
-        M = M * Binv
+    if depth:
+        # B^(-depth) as a constant matrix first: one row product, not depth of them
+        M = M * reduce(mul, [b_inverse(n, cap, ring)] * depth)
     return PeriodTuple(n, q, depth, cap, tuple(M.entries[0]))
 
 

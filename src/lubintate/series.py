@@ -245,8 +245,10 @@ class SeriesMatrix:
 
         def entry(row, j):
             # a_1 b_1 + a_2 b_2 + ... left to right per exponent: LaurentCoeff
-            # addition is not associative bit for bit under cancellation
-            products = (a * other.entries[k][j] for k, a in enumerate(row))
+            # addition is not associative bit for bit under cancellation;
+            # a pair with a zero entry adds no term, so it is skipped
+            products = (a * b for a, col in zip(row, other.entries)
+                        if a.coeffs and (b := col[j]).coeffs)
             return TruncSeries._clean(
                 *shape, sum_terms(chain.from_iterable(t.coeffs.items() for t in products)))
 

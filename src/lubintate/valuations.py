@@ -283,6 +283,8 @@ class RamifiedElement:
         other = self._check(other)
         R = self.ring
         m = R.m
+        if m == 1:
+            return RamifiedElement(R, (self.coeffs[0] * other.coeffs[0] % R.mod,))
         work = [0] * (2 * m)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -476,7 +478,13 @@ class LaurentCoeff:
     def __mul__(self, other) -> "LaurentCoeff":
         if self.is_zero or other.is_zero:
             return LaurentCoeff.zero(self.ring)
-        return LaurentCoeff(self.unit * other.unit, self.pi_exp + other.pi_exp)
+        unit = self.unit * other.unit
+        if unit.coeffs[0] % unit.ring.p == 0:  # the product may need renormalising
+            return LaurentCoeff(unit, self.pi_exp + other.pi_exp)
+        # a unit part of valuation 0 is already normal (always so when m = 1)
+        out = object.__new__(LaurentCoeff)
+        out.unit, out.pi_exp, out.is_zero = unit, self.pi_exp + other.pi_exp, False
+        return out
 
     def inverse(self) -> "LaurentCoeff":
         if self.is_zero:

@@ -44,6 +44,23 @@ from .valuations import prime_power_split, sum_terms, vp
 # ramification indices e at which check_o_integrality folds pi^e = p
 RAM_INDICES = (1, 2, 3, 4, 5, 6)
 
+# the largest q whose laws `witt selftest --max-n N` solves, by N.  Each
+# admitted run took at most about 5 s of CPU (Python 3.11, one core of a
+# shared 2-vCPU machine); the cost grows steeply past these (N = 6 at q = 2
+# took 72 s, N = 2 at q = 512 took 44 s).
+SELFTEST_MAX_Q = {1: 2 ** 20, 2: 256, 3: 13, 4: 4, 5: 2}
+
+
+def check_selftest_budget(max_n: int, qs) -> None:
+    """Refuse, before any law is solved, a selftest past SELFTEST_MAX_Q."""
+    if max_n < 1:
+        raise ValueError(f"--max-n must be >= 1, got {max_n}")
+    top = SELFTEST_MAX_Q.get(max_n)
+    if top is None:
+        raise ValueError(f"witt selftest needs --max-n <= {max(SELFTEST_MAX_Q)}, got {max_n}")
+    if max(qs) > top:
+        raise ValueError(f"witt selftest at --max-n {max_n} needs q <= {top}, got q = {max(qs)}")
+
 
 def _var(name: str) -> dict:
     return {(0, ((name, 1),)): 1}

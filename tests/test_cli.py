@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lubintate import building, periods
+from lubintate import building, periods, wittlab
 from lubintate.cli import _encode, main
 
 
@@ -252,6 +252,31 @@ def test_witt_selftest_rejects_max_n_below_one(capsys, max_n):
     assert captured.err.startswith("error: --max-n must be >= 1")
 
 
+@pytest.mark.parametrize("max_n, q", [
+    ("6", "2"), ("5", "3"), ("4", "9"), ("3", "27"), ("2", "2,512"), ("1", str(2 ** 21)),
+])
+def test_oversized_witt_selftest_exits_one_before_any_solve(capsys, monkeypatch, max_n, q):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a law was solved")
+
+    monkeypatch.setattr(wittlab, "witt_structure_polys", refuse)
+    code = main(["witt", "selftest", "--max-n", max_n, "--q", q])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: witt selftest")
+
+
+@pytest.mark.parametrize("max_n, qs", [
+    # the pinned, test, CI and bench invocations
+    (3, (2, 3, 4)), (2, (2, 3)), (3, (2,)), (2, (3,)), (2, (2, 4)), (3, (3,)), (2, (2,)),
+    (1, (3,)), (1, (4,)), (2, (4,)), (3, (4,)),
+    # the largest q admitted at each max-n
+    *((n, (q,)) for n, q in wittlab.SELFTEST_MAX_Q.items()),
+])
+def test_witt_selftest_budget_admits_the_pinned_invocations(max_n, qs):
+    wittlab.check_selftest_budget(max_n, qs)
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -293,6 +318,27 @@ def test_unwritable_out_exits_one(tmp_path, capsys, where):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: [Errno ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ("missing/x.json", "."))
+def test_bad_out_exits_one_before_the_work(tmp_path, capsys, monkeypatch, where):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(building, "ball", refuse)
+    code = main(["cells", "complex", "--n", "4", "--p", "2", "--radius", "2",
+                 "--out", str(tmp_path / where)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: [Errno ")
+
+
+def test_failed_run_leaves_existing_out_untouched(tmp_path, capsys):
+    target = tmp_path / "earlier.json"
+    target.write_text("earlier output\n")
+    code = main(["polygon", "--n", "2", "--q", "6", "--vals", "1/2", "--out", str(target)])
+    assert code == 1 and capsys.readouterr().err.startswith("error: 6 is not a prime power")
+    assert target.read_text() == "earlier output\n"
 
 
 def test_console_script_installed():

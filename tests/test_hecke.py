@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lubintate import hecke
@@ -89,15 +89,22 @@ def test_quotient_requires_rupture():
 
 @st.composite
 def ruptures_in_D(draw):
-    """(poly, i): a polygon in D, from v(x_i) >= 1 - i/n, with a rupture at i."""
+    """(poly, i): a polygon in D, from v(x_j) >= 1 - j/n, with a rupture at i.
+
+    The rank i is drawn first.  Without a point at q^i the hull passes
+    strictly above 1 - i/n there, since the boundary polygon is strictly
+    convex; any v(x_i) from 1 - i/n up to, not reaching, that hull value
+    puts a vertex at q^i, a rupture at i.
+    """
     n = draw(st.integers(2, 6))
     q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
-    vals = [draw(st.one_of(st.just(INF), st.fractions(
-        min_value=Fraction(n - i, n), max_value=3, max_denominator=64))) for i in range(1, n)]
-    poly = polygon_from_vals(n, q, vals)
-    ruptures = [i for i in range(1, n) if poly.slopes[i - 1] > poly.slopes[i]]
-    assume(ruptures)
-    return poly, draw(st.sampled_from(ruptures))
+    i = draw(st.integers(1, n - 1))
+    vals = [INF if j == i else draw(st.one_of(st.just(INF), st.fractions(
+        min_value=Fraction(n - j, n), max_value=3, max_denominator=64))) for j in range(1, n)]
+    above = polygon_from_vals(n, q, vals).vertex_vals[i]
+    low = Fraction(n - i, n)
+    vals[i - 1] = low + (above - low) * Fraction(draw(st.integers(0, 63)), 64)
+    return polygon_from_vals(n, q, vals), i
 
 
 @settings(max_examples=300, deadline=None)

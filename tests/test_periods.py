@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lubintate import periods
@@ -11,13 +11,14 @@ from lubintate.periods import (
     b_inverse,
     cf2_convention,
     default_coeff_ring,
+    display_matrices,
     evaluate_periods,
     period_series,
     period_series_product,
 )
 from lubintate.polygon import vals_in_H
 from lubintate.series import SeriesMatrix, TruncSeries
-from lubintate.valuations import INF, LaurentCoeff, RamifiedRing, Val
+from lubintate.valuations import INF, LaurentCoeff, RamifiedRing, Val, prime_power_split
 
 
 def test_recurrence_equals_matrix_product():
@@ -27,6 +28,36 @@ def test_recurrence_equals_matrix_product():
                 a = period_series(n, q, depth)
                 b = period_series_product(n, q, depth)
                 assert a == b, (n, q, depth)
+
+
+def depth_fold_product(n, q, depth):
+    """The product oracle multiplying the row by B^(-1) once per level."""
+    ring = default_coeff_ring(prime_power_split(q)[0])
+    cap = max(q ** depth, 1)
+    disp = display_matrices(n, q, cap, ring)
+    one, zero = TruncSeries.one(ring, n - 1, cap), TruncSeries.zero(ring, n - 1, cap)
+    M = SeriesMatrix([[one] + [zero] * (n - 1)])
+    for j in range(depth):
+        M = M * disp.A.frobenius_twist(q, j)
+    Binv = b_inverse(n, cap, ring)
+    for _ in range(depth):
+        M = M * Binv
+    return tuple(M.entries[0])
+
+
+@st.composite
+def _nq_depth(draw):
+    n = draw(st.sampled_from((2, 3, 4)))
+    return n, draw(st.sampled_from((2, 3, 4, 5))), draw(st.integers(0, 2 * n + 1))
+
+
+@settings(deadline=None)
+@given(case=_nq_depth())
+def test_product_oracle_matches_depth_fold_and_recurrence(case):
+    n, q, depth = case
+    got = period_series_product(n, q, depth)
+    assert got.f == depth_fold_product(n, q, depth)
+    assert got == period_series(n, q, depth)
 
 
 def test_depth2_closed_form_height2():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from time import perf_counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lubintate.valuations import (
@@ -277,6 +277,35 @@ def test_sum_terms_adds_laurent_coefficients_left_to_right(N, data):
         if acc:
             want[key] = acc
     assert sum_terms(terms) == want
+
+
+@st.composite
+def laurent_pairs(draw):
+    """Two coefficients over one ring; shifting by u^k, k < m, gives unit
+    parts of positive valuation."""
+    R = draw(rings())
+
+    def coeff():
+        unit = draw(elements(R)).shift_up(draw(st.integers(0, R.m - 1)))
+        return LaurentCoeff(unit, draw(st.integers(-3, 3)))
+
+    return coeff(), coeff()
+
+
+def _u_power(R, k, pi_exp=0):
+    return LaurentCoeff(R.uniformizer(k), pi_exp)
+
+
+@given(pair=laurent_pairs())
+# u * u = p vanishes at N = 1
+@example(pair=(_u_power(RamifiedRing(2, 2, 1), 1), _u_power(RamifiedRing(2, 2, 1), 1)))
+# u * u^2 = p: the unit part has valuation 1 and must be renormalised
+@example(pair=(_u_power(RamifiedRing(3, 3, 4), 1, -2), _u_power(RamifiedRing(3, 3, 4), 2, 1)))
+def test_laurent_product_matches_the_normalising_constructor(pair):
+    a, b = pair
+    want = LaurentCoeff(a.unit * b.unit, a.pi_exp + b.pi_exp)
+    got = a * b
+    assert got == want and got.is_zero == want.is_zero
 
 
 def test_laurent_truth_is_nonzero():
