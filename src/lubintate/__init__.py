@@ -15,6 +15,7 @@ hecke      : canonical-subgroup quotients and reduction into the good domain
 building   : lattice vertices of the (GL_n x D*)/F* cell complex
 cells      : polydisk cells, boundary components, gluing, cocycle checks
 fqlin      : linear algebra over F_p, and matrix inversion over Q
+sparsepoly : sparse Laurent polynomials in pi on packed exponent keys
 wittlab    : ramified Witt vectors and O-divided powers
 cli        : deterministic command-line front end
 """

@@ -3,13 +3,21 @@
 The structure polynomials for W_O (coefficient ring O with uniformizer pi
 and residue field F_q, q = p^f) are solved from the ghost components
 gh_i(x) = sum_j pi^j x_j^(q^(i-j)) by triangular back substitution.  A
-polynomial is a dict {(pi_exp, mono): c}: pi_exp is an integer, possibly
-negative, mono is a name-sorted tuple of (variable name, exponent >= 1)
-pairs and c is a nonzero int (a Fraction only for rational scalars).
-Ghost solving divides only by powers of pi, which shifts pi_exp, so the
-coefficients stay integers.  The helpers below return new dicts, summed
-by `valuations.sum_terms`, which drops zero coefficients, so two
-polynomials are equal exactly when their dicts are.
+polynomial is a dict {key: c} of a `sparsepoly.Ring`, which the law
+carries as `poly_ring`: the key packs the pi exponent (an integer,
+possibly negative) and the variable exponents into one int, so a term
+product is one integer addition, and c is a nonzero int (a Fraction only
+for rational scalars).  The ring holds every name the law and its checks
+use, with exponent fields wide enough for q^N.  Ghost solving divides
+only by powers of pi, which shifts the pi exponent, so the coefficients
+stay integers.  Sums drop zero coefficients, so two polynomials of one
+ring are equal exactly when their dicts are.  Each power a^(q^k) in a
+ghost component or a solve is the q-th power of a^(q^(k-1)).
+
+The law at truncation length n is exactly the first n components of the
+law at any N > n (same variables, same triangular solve), so each check
+returns one verdict per component, and verdicts 0..n-1 certify the law
+at n.
 
 Over a torsion-free ring the ghost map is injective, so every operator
 identity below (sum, product, Frobenius, Verschiebung, Teichmueller) is
@@ -39,15 +47,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .sparsepoly import Ring
 from .valuations import prime_power_split, sum_terms, vp
 
 # ramification indices e at which check_o_integrality folds pi^e = p
 RAM_INDICES = (1, 2, 3, 4, 5, 6)
 
-# the largest q whose laws `witt selftest --max-n N` solves, by N.  Each
-# admitted run took at most about 5 s of CPU (Python 3.11, one core of a
-# shared 2-vCPU machine); the cost grows steeply past these (N = 6 at q = 2
-# took 72 s, N = 2 at q = 512 took 44 s).
+# the largest q whose laws `witt selftest --max-n N` solves, by N.  The caps
+# sit where a run once took about 5 s of CPU; each admitted run now takes
+# at most about 1 s (Python 3.11, one core of a shared 2-vCPU machine), but
+# the cost still grows steeply past some of them (N = 6 at q = 2 takes 23 s
+# and 323 MB, N = 4 at q = 5 takes 18 s).
 SELFTEST_MAX_Q = {1: 2 ** 20, 2: 256, 3: 13, 4: 4, 5: 2}
 
 
@@ -62,88 +72,31 @@ def check_selftest_budget(max_n: int, qs) -> None:
         raise ValueError(f"witt selftest at --max-n {max_n} needs q <= {top}, got q = {max(qs)}")
 
 
-def _var(name: str) -> dict:
-    return {(0, ((name, 1),)): 1}
-
-
-def _add(a: dict, b: dict, sign: int = 1) -> dict:
-    """a + sign*b."""
-    return sum_terms(itertools.chain(a.items(), ((t, sign * c) for t, c in b.items())))
-
-
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return a or b
-    return tuple(sorted(sum_terms(a + b).items()))
-
-
-def _mul(a: dict, b: dict) -> dict:
-    return sum_terms(((ka + kb, _mono_mul(ma, mb)), ca * cb)
-                     for (ka, ma), ca in a.items() for (kb, mb), cb in b.items())
-
-
-def _pow(a: dict, n: int) -> dict:
-    if len(a) == 1 and n >= 1:  # one term: (c pi^k mono)^n in closed form
-        [((k, mono), c)] = a.items()
-        return {(k * n, tuple((name, e * n) for name, e in mono)): c ** n}
-    out = {(0, ()): 1}
-    for _ in range(n):
-        out = _mul(out, a)
-    return out
-
-
-def _shift(a: dict, k: int) -> dict:
-    """pi^k * a."""
-    return {(e + k, mono): c for (e, mono), c in a.items()}
-
-
-def _subs(poly: dict, env: dict) -> dict:
-    """Substitute env[name] (a polynomial) for every variable of poly."""
-    terms = []
-    for (k, mono), c in poly.items():
-        term = {(k, ()): c}
-        for name, e in mono:
-            term = _mul(term, _pow(env[name], e))
-        terms.extend(term.items())
-    return sum_terms(terms)
-
-
-def _fmt(poly: dict) -> str:
-    """sympy-parsable text; terms by descending pi exponent, then monomial."""
-    parts = []
-    for (k, mono), c in sorted(poly.items(), key=lambda t: (-t[0][0], t[0][1])):
-        factors = [name if e == 1 else f"{name}**{e}" for name, e in mono]
-        if k > 0:
-            factors.append("pi" if k == 1 else f"pi**{k}")
-        if abs(c) != 1 or not factors:
-            factors.insert(0, str(abs(c)))
-        text = "*".join(factors)
-        if k < 0:
-            text += "/pi" if k == -1 else f"/pi**{-k}"
-        if parts:
-            parts.append(f"- {text}" if c < 0 else f"+ {text}")
-        else:
-            parts.append(f"-{text}" if c < 0 else text)
-    return " ".join(parts) or "0"
-
-
-def _fold(poly: dict, p: int, e: int):
+def _fold(R: Ring, poly: dict, p: int, e: int):
     """(M, {(mono, r): a}): the Laurent coefficients folded under pi^e = p.
 
+    mono is the variable part of a key (its pi exponent 0), and
     pi^k = p^m * pi^r with k = m*e + r and 0 <= r < e.  One shift M >= 0,
     the least with m + M >= 0 for every term, scales the whole polynomial:
     slot (mono, r) holds a = sum of c * p^(m + M), an integer when the c
     are, and stands for (a / p^M) * pi^r * mono.  Zero slots drop.
     """
-    terms = [(divmod(k, e), mono, c) for (k, mono), c in poly.items()]
+    terms = [(divmod(t >> R.shift, e), t & R.mask, c) for t, c in poly.items()]
     M = max([0] + [-m for (m, _), _, _ in terms])
     return M, sum_terms(((mono, r), c * p ** (m + M)) for (m, r), mono, c in terms)
 
 
-def _ghost(vec, q: int, i: int) -> dict:
-    out: dict = {}
-    for j in range(i + 1):
-        out = _add(out, _shift(_pow(vec[j], q ** (i - j)), j))
+def _pi_sum(R: Ring, polys) -> dict:
+    """sum_j pi^j * polys[j]."""
+    return sum_terms((t + (j << R.shift), c) for j, poly in enumerate(polys) for t, c in poly.items())
+
+
+def _ghosts(R: Ring, q: int, vec, n: int) -> list:
+    """gh_0 .. gh_(n-1) of vec, each vec_j^(q^(i-j)) the q-th power of the one before."""
+    out, tower = [], []
+    for i in range(n):
+        tower = [R.pow(t, q) for t in tower] + [vec[i]]
+        out.append(_pi_sum(R, tower))
     return out
 
 
@@ -160,34 +113,43 @@ class WittLaw:
     sum_polys: tuple
     prod_polys: tuple
     frob_polys: tuple  # length N, F_i in w_0 .. w_{i+1}
-
-    def ghost(self, vec, i: int) -> dict:
-        return _ghost(vec, self.q, i)
+    poly_ring: Ring    # packs every polynomial above and those the checks build
 
 
-def _solve_from_ghosts(q: int, targets):
+def _solve_from_ghosts(R: Ring, q: int, targets) -> list:
     """Components z with ghost_i(z) = targets[i], solved triangularly."""
-    out = []
+    out, tower = [], []
     for i, target in enumerate(targets):
-        lower = _ghost(out + [{}], q, i)
-        out.append(_shift(_add(target, lower, -1), -i))
+        tower = [R.pow(t, q) for t in tower]   # z_j^(q^(i-j)) for j < i
+        out.append(R.shift_pi(R.add(target, _pi_sum(R, tower), -1), -i))
+        tower.append(out[-1])
     return out
 
 
 def witt_structure_polys(N: int, q: int) -> WittLaw:
     p, _ = prime_power_split(q)
-    xs, ys, ws = (tuple(f"{c}{i}" for i in range(n))
-                  for c, n in (("x", N), ("y", N), ("w", N + 1)))
-    X, Y, W = ([_var(name) for name in names] for names in (xs, ys, ws))
-    gx, gy = ([_ghost(vec, q, i) for i in range(N)] for vec in (X, Y))
-    sums = _solve_from_ghosts(q, [_add(a, b) for a, b in zip(gx, gy)])
-    prods = _solve_from_ghosts(q, [_mul(a, b) for a, b in zip(gx, gy)])
-    frobs = _solve_from_ghosts(q, [_ghost(W, q, i + 1) for i in range(N)])
-    return WittLaw(N, q, p, xs, ys, ws, tuple(sums), tuple(prods), tuple(frobs))
+    xs, ys, ws, vs = (tuple(f"{c}{i}" for i in range(n))
+                      for c, n in (("x", N), ("y", N), ("w", N + 1), ("v", N)))
+    # no exponent passes q^N, the degree of w0 in ghost_N of the w's
+    R = Ring(xs + ys + ws + vs + ("tei_a", "tei_b"), q ** N)
+    X, Y, W = ([R.var(name) for name in names] for names in (xs, ys, ws))
+    gx, gy = (_ghosts(R, q, vec, N) for vec in (X, Y))
+    sums = _solve_from_ghosts(R, q, [R.add(a, b) for a, b in zip(gx, gy)])
+    prods = _solve_from_ghosts(R, q, [R.mul(a, b) for a, b in zip(gx, gy)])
+    frobs = _solve_from_ghosts(R, q, _ghosts(R, q, W, N + 1)[1:])
+    return WittLaw(N, q, p, xs, ys, ws, tuple(sums), tuple(prods), tuple(frobs), R)
 
 
-def check_o_integrality(law: WittLaw) -> bool:
-    """Every structure polynomial has O-integral coefficients.
+def _integral(R: Ring, poly: dict, p: int) -> bool:
+    for e in RAM_INDICES:
+        M, slots = _fold(R, poly, p, e)
+        if M and any(a % p ** M for a in slots.values()):   # some v_p(a) < M
+            return False
+    return True
+
+
+def check_o_integrality(law: WittLaw) -> tuple:
+    """Per component i: S_i, P_i and F_i have O-integral coefficients.
 
     The coefficient of each x/y-monomial is a Laurent polynomial
     sum_k c_k * pi^k.  Termwise v_p(c_k) >= -k is too strong: the N = 3
@@ -199,37 +161,28 @@ def check_o_integrality(law: WittLaw) -> bool:
     mod e, so integrality means e * v_p(a / p^M) + r >= 0 for every slot;
     as 0 <= r < e that is v_p(a) >= M.
     """
-    for poly in law.sum_polys + law.prod_polys + law.frob_polys:
-        for e in RAM_INDICES:
-            M, slots = _fold(poly, law.p, e)
-            if M and any(vp(a, law.p) < M for a in slots.values()):
-                return False
-    return True
+    return tuple(all(_integral(law.poly_ring, poly, law.p) for poly in polys)
+                 for polys in zip(law.sum_polys, law.prod_polys, law.frob_polys))
 
 
-def verify_ghost_homomorphism(law: WittLaw) -> bool:
-    """Ghost images of the solved polynomials match sum/product of ghosts."""
-    X, Y, W = ([_var(name) for name in names] for names in (law.xs, law.ys, law.ws))
-    for i in range(law.N):
-        gx, gy = law.ghost(X, i), law.ghost(Y, i)
-        if law.ghost(law.sum_polys, i) != _add(gx, gy):
-            return False
-        if law.ghost(law.prod_polys, i) != _mul(gx, gy):
-            return False
-        if law.ghost(law.frob_polys, i) != law.ghost(W, i + 1):
-            return False
-    return True
+def verify_ghost_homomorphism(law: WittLaw) -> tuple:
+    """Per component i: ghost_i of the solved polynomials matches sum/product of ghosts."""
+    R, q, N = law.poly_ring, law.q, law.N
+    X, Y, W = ([R.var(name) for name in names] for names in (law.xs, law.ys, law.ws))
+    gx, gy, gw = _ghosts(R, q, X, N), _ghosts(R, q, Y, N), _ghosts(R, q, W, N + 1)
+    gs, gp, gf = (_ghosts(R, q, fam, N) for fam in (law.sum_polys, law.prod_polys, law.frob_polys))
+    return tuple(gs[i] == R.add(gx[i], gy[i]) and gp[i] == R.mul(gx[i], gy[i])
+                 and gf[i] == gw[i + 1] for i in range(N))
 
 
 def witt_mul(law: WittLaw, a, b):
     env = dict(zip(law.xs, a)) | dict(zip(law.ys, b))
-    return tuple(_subs(poly, env) for poly in law.prod_polys)
+    return law.poly_ring.subs(law.prod_polys, env)
 
 
 def witt_frobenius(law: WittLaw, w):
     """F on a length-(N+1) vector, producing length N."""
-    env = dict(zip(law.ws, w))
-    return tuple(_subs(poly, env) for poly in law.frob_polys)
+    return law.poly_ring.subs(law.frob_polys, dict(zip(law.ws, w)))
 
 
 def verschiebung(w):
@@ -242,32 +195,36 @@ def teichmueller(law: WittLaw, a):
 
 def const_witt(law: WittLaw, c: dict):
     """The Witt vector with every ghost component equal to the polynomial c."""
-    return tuple(_solve_from_ghosts(law.q, [c] * law.N))
+    return tuple(_solve_from_ghosts(law.poly_ring, law.q, [c] * law.N))
 
 
-def verify_fv_is_pi(law: WittLaw) -> bool:
-    """F(V(w)) equals multiplication by the scalar pi, componentwise.
+def verify_fv_is_pi(law: WittLaw) -> tuple:
+    """Per component: F(V(w)) equals multiplication by the scalar pi.
 
     Only this composition order is an identity: V(F(w)) differs from pi*w
     already over torsion-free rings.
     """
-    w = [_var(f"v{i}") for i in range(law.N)]
+    R = law.poly_ring
+    w = [R.var(f"v{i}") for i in range(law.N)]
     fv = witt_frobenius(law, verschiebung(w))
-    return fv == witt_mul(law, const_witt(law, {(1, ()): 1}), w)
+    pi_w = witt_mul(law, const_witt(law, {R.key(1): 1}), w)
+    return tuple(a == b for a, b in zip(fv, pi_w))
 
 
-def verify_teichmueller_mult(law: WittLaw) -> bool:
-    a, b = _var("tei_a"), _var("tei_b")
+def verify_teichmueller_mult(law: WittLaw) -> tuple:
+    R = law.poly_ring
+    a, b = R.var("tei_a"), R.var("tei_b")
     prod = witt_mul(law, teichmueller(law, a), teichmueller(law, b))
-    return prod == teichmueller(law, _mul(a, b))
+    return tuple(x == y for x, y in zip(prod, teichmueller(law, R.mul(a, b))))
 
 
-def verify_teichmueller_scale(law: WittLaw) -> bool:
-    """[a] * w has components a^(q^i) * w_i."""
-    a = _var("tei_a")
-    ys = [_var(name) for name in law.ys]
+def verify_teichmueller_scale(law: WittLaw) -> tuple:
+    """Per component i: [a] * w has component a^(q^i) * w_i."""
+    R = law.poly_ring
+    a = R.var("tei_a")
+    ys = [R.var(name) for name in law.ys]
     prod = witt_mul(law, teichmueller(law, a), ys)
-    return all(prod[i] == _mul(_pow(a, law.q ** i), ys[i]) for i in range(law.N))
+    return tuple(prod[i] == R.mul(R.pow(a, law.q ** i), ys[i]) for i in range(law.N))
 
 
 # ---------------------------------------------------------------------
@@ -512,8 +469,8 @@ def exp_opd(ring, comps):
     return tuple(out)
 
 
-def eval_expr(expr, ring, env):
-    """Evaluate a structure polynomial on ring elements.
+def eval_expr(R: Ring, expr, ring, env):
+    """Evaluate a structure polynomial of the polynomial ring R on ring elements.
 
     env maps variable names to ring elements.  The Laurent coefficient of a
     monomial is folded under the ring's pi^e = p relation (`_fold`) before
@@ -522,11 +479,11 @@ def eval_expr(expr, ring, env):
     has such terms), so mapping termwise would raise spuriously.  Slot
     (mono, r) holding a stands for a * pi^(r - e*M).
     """
-    M, slots = _fold(expr, ring.p, ring.e)
+    M, slots = _fold(R, expr, ring.p, ring.e)
     total = ring.zero
     for (mono, r), a in slots.items():
         elem = ring.o_image(a, r - ring.e * M)
-        for name, exp in mono:
+        for name, exp in R.decode(mono)[1]:
             for _ in range(exp):
                 elem = ring.mul(elem, env[name])
         total = ring.add(total, elem)
@@ -538,11 +495,10 @@ def eval_witt_op(law: WittLaw, polys, ring, x_elems=None, y_elems=None, w_elems=
     for names, elems in ((law.xs, x_elems), (law.ys, y_elems), (law.ws, w_elems)):
         if elems is not None:
             env.update(zip(names, elems))
-    return tuple(eval_expr(poly, ring, env) for poly in polys)
+    return tuple(eval_expr(law.poly_ring, poly, ring, env) for poly in polys)
 
 
 def scalar_witt_elems(law: WittLaw, ring, c: Fraction):
     """Images of const_witt(c) components in the model ring."""
-    comps = const_witt(law, {(0, ()): Fraction(c)})
-    return tuple(eval_expr(comp, ring, {}) for comp in comps)
-
+    comps = const_witt(law, {0: Fraction(c)})
+    return tuple(eval_expr(law.poly_ring, comp, ring, {}) for comp in comps)

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lubintate import wittlab
 from lubintate.cli import main
 from lubintate.fqlin import rational_inverse
+from lubintate.sparsepoly import Ring
 from lubintate.valuations import vp
 from lubintate.wittlab import (
     DualNumbers,
@@ -22,8 +24,7 @@ from lubintate.wittlab import (
     LocalIntegers,
     RamifiedNilpotents,
     WittLaw,
-    _mul,
-    _pow,
+    _ghosts,
     check_o_integrality,
     const_witt,
     delta_pi_exponent,
@@ -44,39 +45,46 @@ from lubintate.wittlab import (
 ALL_RINGS = [DualNumbers(2), DualNumbers(3), RamifiedNilpotents(), LocalIntegers(2), LocalIntegers(3)]
 
 
-def var(name):
-    return {(0, ((name, 1),)): 1}
+def decoded(R, poly):
+    """{(pi_exp, mono): c}: a packed polynomial in name-pair form."""
+    return {R.decode(t): c for t, c in poly.items()}
+
+
+def encoded(R, pairs):
+    """The packed polynomial of R with the name-pair terms {(pi_exp, mono): c}."""
+    return {R.key(k, mono): c for (k, mono), c in pairs.items()}
 
 
 def test_structure_polys_low_degrees():
     law = witt_structure_polys(3, 2)
+    R = law.poly_ring
     x0y0 = (("x0", 1), ("y0", 1))
-    assert law.sum_polys[0] == var("x0") | var("y0")
-    assert law.prod_polys[0] == {(0, x0y0): 1}
+    assert law.sum_polys[0] == R.var("x0") | R.var("y0")
+    assert law.prod_polys[0] == {R.key(0, x0y0): 1}
     # the first carry: S_1 = x1 + y1 - (2/pi) x0 y0
-    assert law.sum_polys[1] == var("x1") | var("y1") | {(-1, x0y0): -2}
+    assert law.sum_polys[1] == R.var("x1") | R.var("y1") | {R.key(-1, x0y0): -2}
 
 
 def test_ghost_homomorphism_and_integrality():
     for q, N in ((2, 3), (3, 3), (4, 2)):
         law = witt_structure_polys(N, q)
-        assert verify_ghost_homomorphism(law), (q, N)
-        assert check_o_integrality(law), (q, N)
+        assert verify_ghost_homomorphism(law) == (True,) * N, (q, N)
+        assert check_o_integrality(law) == (True,) * N, (q, N)
 
 
 def test_fv_and_teichmueller_identities():
     for q in (2, 3):
         law = witt_structure_polys(3, q)
-        assert verify_fv_is_pi(law)
-        assert verify_teichmueller_mult(law)
-        assert verify_teichmueller_scale(law)
+        assert verify_fv_is_pi(law) == (True,) * 3
+        assert verify_teichmueller_mult(law) == (True,) * 3
+        assert verify_teichmueller_scale(law) == (True,) * 3
 
 
 def test_const_witt_has_constant_ghosts():
     law = witt_structure_polys(3, 2)
-    comps = const_witt(law, var("c"))
-    for i in range(3):
-        assert law.ghost(comps, i) == var("c")
+    c = law.poly_ring.var("tei_a")
+    comps = const_witt(law, c)
+    assert _ghosts(law.poly_ring, law.q, comps, 3) == [c] * 3
 
 
 def test_opd_axioms_on_model_rings():
@@ -167,7 +175,8 @@ def test_log_of_verschiebung_is_shift():
             assert ring.eq(lvw[0], ring.zero)
             assert all(ring.eq(lvw[i + 1], lw[i]) for i in range(3))
     # polynomial form as well: V prepends the zero polynomial
-    assert verschiebung((var("a"), var("b"))) == ({}, var("a"), var("b"))
+    R = Ring(("a", "b"), 1)
+    assert verschiebung((R.var("a"), R.var("b"))) == ({}, R.var("a"), R.var("b"))
 
 
 def test_log_of_teichmueller_product_scales_by_powers():
@@ -204,7 +213,8 @@ def test_log_of_scalar_product_is_scalar():
 
 def test_teichmueller_symbolic_shape():
     law = witt_structure_polys(3, 2)
-    assert teichmueller(law, var("a")) == (var("a"), {}, {})
+    a = law.poly_ring.var("tei_a")
+    assert teichmueller(law, a) == (a, {}, {})
 
 
 def _det(rows):
@@ -301,10 +311,10 @@ def _law(N, q):
     return witt_structure_polys(N, q)
 
 
-def _at_p(poly, p, env):
+def _at_p(R, poly, p, env):
     """Value of a structure polynomial at pi = p on rational inputs."""
     total = Fraction(0)
-    for (k, mono), c in poly.items():
+    for (k, mono), c in decoded(R, poly).items():
         term = c * Fraction(p) ** k
         for name, e in mono:
             term *= env[name] ** e
@@ -327,7 +337,7 @@ def test_laws_at_pi_equal_p_are_integral_ghost_maps(q, N, data):
 
     x, y, w = vector(N), vector(N), vector(N + 1)
     env = dict(zip(law.xs, x)) | dict(zip(law.ys, y)) | dict(zip(law.ws, w))
-    s, m, f = ([_at_p(poly, p, env) for poly in polys]
+    s, m, f = ([_at_p(law.poly_ring, poly, p, env) for poly in polys]
                for polys in (law.sum_polys, law.prod_polys, law.frob_polys))
     assert all(v.denominator == 1 for v in s + m + f)
     for i in range(N):
@@ -336,41 +346,55 @@ def test_laws_at_pi_equal_p_are_integral_ghost_maps(q, N, data):
         assert _gh(f, p, q, i) == _gh(w, p, q, i + 1)
 
 
-def _fraction_fold(poly, p, e):
+def _fraction_fold(R, poly, p, e):
     """{mono: {r: a_r}}: each Laurent coefficient folded under pi^e = p in Fractions.
 
     pi^k = p^m * pi^r with k = m*e + r and 0 <= r < e; zero slots drop.
     """
     out = {}
-    for (k, mono), c in poly.items():
+    for (k, mono), c in decoded(R, poly).items():
         m, r = divmod(k, e)
         slots = out.setdefault(mono, {})
         slots[r] = slots.get(r, 0) + c * Fraction(p) ** m
     return {mono: {r: a for r, a in slots.items() if a} for mono, slots in out.items()}
 
 
-def _integral_by_fractions(law: WittLaw) -> bool:
-    """Integrality oracle: min over nonzero slots of e * v_p(a_r) + r >= 0."""
-    return all(
+def _integral_by_fractions(law: WittLaw) -> tuple:
+    """Integrality oracle per component i: over the nonzero slots of S_i, P_i
+    and F_i, min of e * v_p(a_r) + r >= 0."""
+    return tuple(all(
         e * vp(a, law.p) + r >= 0
-        for poly in law.sum_polys + law.prod_polys + law.frob_polys
+        for poly in polys
         for e in RAM_INDICES
-        for slots in _fraction_fold(poly, law.p, e).values()
+        for slots in _fraction_fold(law.poly_ring, poly, law.p, e).values()
         for r, a in slots.items()
-    )
+    ) for polys in zip(law.sum_polys, law.prod_polys, law.frob_polys))
+
+
+MONO_NAMES = ("x0", "x1", "y0", "y2", "w1")
 
 
 def _perturbed(law, family, i, mono, c, k):
-    """law with c * pi^k * mono added to component i of one structure family."""
-    polys = list(getattr(law, family))
-    poly = dict(polys[i])
-    poly[(k, mono)] = poly.get((k, mono), 0) + c
-    polys[i] = {t: a for t, a in poly.items() if a}
-    return replace(law, **{family: tuple(polys)})
+    """law with c * pi^k * mono added to component i of one structure family.
+
+    The bent law lives in a ring that also has MONO_NAMES and exponents up
+    to 4, which a small law's own ring may lack.
+    """
+    old = law.poly_ring
+    R = Ring(set(old.names) | set(MONO_NAMES), max(law.q ** law.N, 4))
+
+    def moved(polys):
+        return tuple(encoded(R, decoded(old, poly)) for poly in polys)
+
+    bent = {fam: moved(getattr(law, fam)) for fam in ("sum_polys", "prod_polys", "frob_polys")}
+    polys = list(bent[family])
+    polys[i] = R.add(polys[i], {R.key(k, mono): c})
+    bent[family] = tuple(polys)
+    return replace(law, poly_ring=R, **bent)
 
 
 monomials = st.lists(
-    st.tuples(st.sampled_from(("x0", "x1", "y0", "y2", "w1")), st.integers(1, 4)),
+    st.tuples(st.sampled_from(MONO_NAMES), st.integers(1, 4)),
     max_size=3, unique_by=lambda t: t[0],
 ).map(lambda pairs: tuple(sorted(pairs)))
 
@@ -385,10 +409,11 @@ def test_integer_fold_agrees_with_fraction_fold(q, N, family, i, mono, c, k):
     law = _law(N, q)
     i %= N
     if isinstance(mono, int):       # perturb a monomial the component already has
-        monos = sorted({m for _, m in getattr(law, family)[i]})
+        monos = sorted({m for _, m in decoded(law.poly_ring, getattr(law, family)[i])})
         mono = monos[mono % len(monos)]
     bent = _perturbed(law, family, i, mono, c, k)
     assert check_o_integrality(bent) == _integral_by_fractions(bent)
+    assert check_o_integrality(bent)[:i] == (True,) * i      # components below i are untouched
 
 
 @settings(max_examples=100, deadline=None)
@@ -396,21 +421,44 @@ def test_integer_fold_agrees_with_fraction_fold(q, N, family, i, mono, c, k):
        c=st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12)).filter(bool))
 @example(k=-3, mono=(("x0", 2), ("y2", 1)), n=12, c=Fraction(-2, 3))
 def test_one_term_power_matches_repeated_products(k, mono, n, c):
-    a = {(k, mono): c}
-    want = {(0, ()): 1}
+    R = Ring(MONO_NAMES, 48)
+    a = {R.key(k, mono): c}
+    want = {0: 1}
     for _ in range(n):
-        want = _mul(want, a)
-    assert _pow(a, n) == want
+        want = R.mul(want, a)
+    assert R.pow(a, n) == want
 
 
 def test_integrality_rejects_a_pole():
     law = _law(2, 2)
-    assert check_o_integrality(law) and _integral_by_fractions(law)
+    assert check_o_integrality(law) == _integral_by_fractions(law) == (True, True)
     bent = _perturbed(law, "sum_polys", 1, (("x0", 1),), 1, -1)     # S_1 + x0/pi
-    assert not check_o_integrality(bent) and not _integral_by_fractions(bent)
+    assert check_o_integrality(bent) == _integral_by_fractions(bent) == (True, False)
     # 2/pi = pi^(e - 1) is integral at every ramification index
     bent = _perturbed(law, "sum_polys", 1, (("x0", 1),), 2, -1)
-    assert check_o_integrality(bent) and _integral_by_fractions(bent)
+    assert check_o_integrality(bent) == _integral_by_fractions(bent) == (True, True)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_law_at_n_is_the_prefix_of_the_law_at_m(q):
+    for M in (2, 3):
+        big = _law(M, q)
+        for N in range(1, M):
+            small = _law(N, q)
+            for fam in ("sum_polys", "prod_polys", "frob_polys"):
+                assert ([decoded(small.poly_ring, p) for p in getattr(small, fam)]
+                        == [decoded(big.poly_ring, p) for p in getattr(big, fam)[:N]]), (q, N, M, fam)
+
+
+def test_a_bent_component_fails_only_its_own_verdict_and_the_lines_above(capsys, monkeypatch):
+    bent = _perturbed(_law(3, 2), "sum_polys", 1, (("x0", 1),), 1, -1)     # S_1 + x0/pi
+    assert check_o_integrality(bent) == (True, False, True)
+    monkeypatch.setattr(wittlab, "witt_structure_polys", lambda N, q: bent)
+    assert main(["witt", "selftest", "--max-n", "3", "--q", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.endswith("q=2") and "integral" in line] == [
+        "ok   integral N=1 q=2", "FAIL integral N=2 q=2", "FAIL integral N=3 q=2"]
+    assert "ok   teich-mult N=3 q=2" in lines       # S_1 enters no product
 
 
 # ---------------------------------------------------------------------
