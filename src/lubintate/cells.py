@@ -32,6 +32,7 @@ from .fqlin import (
     image_rows,
     kernel_basis,
     mat_mul,
+    mat_vec,
     rref,
     span_contains,
 )
@@ -121,17 +122,27 @@ class GlueResult:
     transition: tuple  # n x n rows over F_p, kernel = source subspace
 
 
-def _transition(lat, far, E):
-    """T = B'^(-1) B mod p into far = Lambda + p^(-1) E, kernel E, and T's echelonized image."""
-    p = lat.p
-    T = _mod_p_matrix([far.solve_coords(col, lat.k) for col in lat.H], p)
-    if kernel_basis(T, p) != E:
+def _image_with_kernel(T, E, p: int):
+    """T's image, its columns echelonized as rows, once ker T = span E is checked.
+
+    ker T = span E holds exactly when T kills every row of E and rank T =
+    n - dim E.  For E a reduced row-echelon basis, as every stratum is, that
+    is kernel_basis(T, p) == E, tested with the one elimination that gives
+    the image.
+    """
+    star = rref(zip(*T), p)[0]
+    if len(star) != len(T) - len(E) or any(any(mat_vec(T, e, p)) for e in E):
         raise ArithmeticError("transition kernel does not match the stratum")
-    # image of T: its columns, echelonized as row vectors
-    star = rref([tuple(row) for row in zip(*T)], p)[0]
-    if len(star) != lat.n - len(E):
-        raise ArithmeticError("transition image has wrong dimension")
-    return T, star
+    return star
+
+
+def _transition(lat, far, E):
+    """T = B'^(-1) B mod p into far = Lambda + p^(-1) E, with kernel E, and T's image.
+
+    E must be a reduced row-echelon basis; glue_edge refuses any other.
+    """
+    T = _mod_p_matrix([far.solve_coords(col, lat.k) for col in lat.H], lat.p)
+    return T, _image_with_kernel(T, E, lat.p)
 
 
 def glue_edge(b: BoundaryComponent) -> GlueResult:
@@ -149,6 +160,8 @@ def glue_edge(b: BoundaryComponent) -> GlueResult:
     vtx = cell.vertex
     far = neighbour(vtx.lat, b.subspace).scale(-1)
     T, star = _transition(vtx.lat, far, b.subspace)
+    if rref(b.subspace, vtx.p)[0] != b.subspace:  # _transition takes only RREF bases
+        raise ArithmeticError("transition kernel does not match the stratum")
     image = canonical_quotient(cell.constraint, b.rank).image
     far_cell = Cell(make_vertex(far, vtx.h + b.rank), cell.level, image)
     return GlueResult(BoundaryComponent(far_cell, vtx.n - b.rank, star), T)
@@ -236,27 +249,29 @@ class CellComplex:
         return list(sum_terms((ci, 1) for ci, _, _ in self.dangling).values())
 
     def to_json_dict(self):
+        """The complex as JSON, its cells' one boundary constraint written once.
+
+        Subspaces stay tuples of row tuples, which encode as arrays.
+        """
+        shared = self.cells[0].constraint if self.cells else None
+        if any(c.constraint != shared for c in self.cells):
+            raise ValueError("the cells do not share one boundary constraint")
         return {
             "level": self.level,
-            "cells": [
-                {
-                    "vertex": c.vertex.json_dict(),
-                    "constraint": c.constraint.to_json_dict(),
-                }
-                for c in self.cells
-            ],
+            "constraint": None if shared is None else shared.to_json_dict(),
+            "cells": [{"vertex": c.vertex.json_dict()} for c in self.cells],
             "edges": [
                 {
                     "a": e.cell_a,
                     "b": e.cell_b,
                     "rank": e.rank,
-                    "subspace_a": [list(r) for r in e.subspace_a],
-                    "subspace_b": [list(r) for r in e.subspace_b],
+                    "subspace_a": e.subspace_a,
+                    "subspace_b": e.subspace_b,
                 }
                 for e in self.edges
             ],
             "dangling": [
-                {"cell": ci, "rank": r, "subspace": [list(x) for x in rows]}
+                {"cell": ci, "rank": r, "subspace": rows}
                 for ci, r, rows in self.dangling
             ],
         }

@@ -4,18 +4,20 @@ One subcommand per toolkit area.  All output is deterministic: JSON is
 written by `_encode`, which gives the bytes of `json.dumps(obj, indent=2,
 sort_keys=True)` without the standard library's pure-Python encoder, and
 DOT and SVG renderings are built from sorted vertex and edge lists, so
-identical invocations produce identical bytes.
+identical invocations produce identical bytes.  `cells complex` writes the
+boundary constraint its cells share once, not once per cell.
 
 Exit codes: 0 on success, 1 on domain errors (collisions, budget or level
 failures, bad valuations) and when the reader closes stdout early, 2 on
-usage errors (argparse's own convention).  `building` and `cells complex`
-refuse a radius whose ball and out-edges may need more than
-`building.BALL_WORK_BUDGET` neighbour lattices, `periods` a depth past
-the budgets of `periods.check_budget`, and `witt selftest` a (max-n, q)
-past `wittlab.SELFTEST_MAX_Q`; all before any work starts.  So is an
-`--out` path whose directory is missing or that names a directory; one
-that still cannot be written exits 1 after the work.  The `--out` file is
-opened only once the output is complete, so a failed run leaves it as it was.
+usage errors (argparse's own convention).  Every subcommand with an `--n`
+refuses n < 1, `building` and `cells complex` refuse a radius whose ball
+and out-edges may need more than `building.BALL_WORK_BUDGET` neighbour
+lattices, `periods` a depth past the budgets of `periods.check_budget`,
+and `witt selftest` a (max-n, q) past `wittlab.SELFTEST_MAX_Q`; all before
+any work starts.  So is an `--out` path whose directory is missing or that
+names a directory; one that still cannot be written exits 1 after the
+work.  The `--out` file is opened only once the output is complete, so a
+failed run leaves it as it was.
 """
 
 from __future__ import annotations
@@ -65,21 +67,55 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+_WRITERS = {str: encode_basestring_ascii, int: int.__repr__}  # by exact type
+_PADS = tuple("\n" + "  " * d for d in range(16))  # newline and indent at each depth
+_SEPS = tuple("," + pad for pad in _PADS)
+
+
 def _encode(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte.
 
     With `indent` set the standard library falls back to its pure-Python
-    encoder.  Here a list of only ints or only strs is one `str.join`, and
-    strings go through the C `encode_basestring_ascii`.  Dict keys must be
-    str: another key, or a value that is not a dict, list, tuple, str, int,
-    bool or None, raises TypeError.
+    encoder.  Here a value of exact type str or int goes straight to its
+    writer (the C `encode_basestring_ascii`, `int.__repr__`), a dict writes
+    such values inline, and a list or tuple whose items all have one of
+    those types is one `str.join`.  Bools, None and subclasses (an IntEnum,
+    an OrderedDict) take the `isinstance` tests the standard library makes.
+    Dict keys must be str: another key, or a value that is not a dict, list,
+    tuple, str, int, bool or None, raises TypeError.
     """
 
     def block(brackets, parts, depth):
-        pad = "\n" + "  " * (depth + 1)
-        return brackets[0] + pad + ("," + pad).join(parts) + pad[:-2] + brackets[1]
+        if depth + 1 < len(_PADS):
+            inner, sep, outer = _PADS[depth + 1], _SEPS[depth + 1], _PADS[depth]
+        else:
+            inner = "\n" + "  " * (depth + 1)
+            sep, outer = "," + inner, inner[:-2]
+        return brackets[0] + inner + sep.join(parts) + outer + brackets[1]
+
+    def enc_dict(o, depth):
+        if not o:
+            return "{}"
+        parts = []
+        for k, v in sorted(o.items()):
+            write = _WRITERS.get(type(v))
+            parts.append(encode_basestring_ascii(k) + ": " + (write(v) if write else enc(v, depth + 1)))
+        return block("{}", parts, depth)
+
+    def enc_list(o, depth):
+        if not o:
+            return "[]"
+        write = _WRITERS.get(type(o[0])) if len(set(map(type, o))) == 1 else None
+        return block("[]", map(write, o) if write else [enc(x, depth + 1) for x in o], depth)
 
     def enc(o, depth):
+        write = _WRITERS.get(type(o))
+        if write is not None:
+            return write(o)
+        if type(o) is dict:
+            return enc_dict(o, depth)
+        if type(o) is list or type(o) is tuple:
+            return enc_list(o, depth)
         if isinstance(o, str):
             return encode_basestring_ascii(o)
         if o is None:
@@ -91,20 +127,10 @@ def _encode(obj) -> str:
         if isinstance(o, int):
             return int.__repr__(o)
         if isinstance(o, dict):
-            if not o:
-                return "{}"
-            return block("{}", [encode_basestring_ascii(k) + ": " + enc(v, depth + 1)
-                                for k, v in sorted(o.items())], depth)
-        if not isinstance(o, (list, tuple)):
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        if not o:
-            return "[]"
-        kinds = set(map(type, o))
-        if kinds == {int}:
-            return block("[]", map(int.__repr__, o), depth)
-        if kinds == {str}:
-            return block("[]", map(encode_basestring_ascii, o), depth)
-        return block("[]", [enc(x, depth + 1) for x in o], depth)
+            return enc_dict(o, depth)
+        if isinstance(o, (list, tuple)):
+            return enc_list(o, depth)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
     return enc(obj, 0)
 
@@ -426,6 +452,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "out", None):
             _check_out(args.out)
+        if getattr(args, "n", 1) < 1:
+            raise ValueError("need n >= 1")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except (ValueError, ArithmeticError, RuntimeError) as exc:

@@ -1,7 +1,7 @@
 """Cells over vertices, boundary gluing, cocycles, complex assembly."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from lubintate import cells
@@ -20,7 +20,7 @@ from lubintate.cells import (
     make_cell,
     saturation_check,
 )
-from lubintate.fqlin import echelon_subspaces, gaussian_binomial, rref
+from lubintate.fqlin import echelon_subspaces, gaussian_binomial, kernel_basis, rref
 from lubintate.hecke import canonical_quotient
 from lubintate.polygon import gh_boundary_polygon
 from lubintate.valuations import vp
@@ -142,6 +142,46 @@ def test_glue_twice_is_identity_and_cocycle_holds(p, n, data):
         assert cocycle_check(cell, inner, outer)
 
 
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)), n=st.integers(1, 4), data=st.data())
+def test_one_elimination_kernel_check_matches_kernel_basis(p, n, data):
+    # T kills E with rank n - dim E exactly when ker T = span E, that is when
+    # kernel_basis(T) is E's echelon basis
+    d = data.draw(st.integers(0, n))
+    E = data.draw(st.sampled_from(list(echelon_subspaces(n, d, p))))
+    entries = st.integers(0, p - 1)
+    if data.draw(st.booleans()):
+        T = tuple(tuple(data.draw(entries) for _ in range(n)) for _ in range(n))
+    else:
+        # rows from the annihilator of E: T kills E, with rank n - d or below
+        ann = kernel_basis(E, p) if E else next(echelon_subspaces(n, n, p))
+        T = tuple(
+            tuple(sum(c * row[j] for c, row in zip(cs, ann)) % p for j in range(n))
+            for cs in ([data.draw(entries) for _ in ann] for _ in range(n))
+        )
+    kills = not any(sum(a * x for a, x in zip(row, e)) % p for row in T for e in E)
+    rank = len(rref(T, p)[0])
+    event(f"kills E: {kills}, rank {'=' if rank == n - d else '<' if rank < n - d else '>'} n - dim E")
+    if kernel_basis(T, p) == E:
+        assert cells._image_with_kernel(T, E, p) == rref(zip(*T), p)[0]
+    else:
+        with pytest.raises(ArithmeticError, match="does not match the stratum"):
+            cells._image_with_kernel(T, E, p)
+
+
+@pytest.mark.parametrize("subspace", [
+    ((2, 2, 0),),                # a leading 2: the echelon basis of its span is (1, 1, 0)
+    ((1, 1, 0), (0, 1, 0)),      # not reduced above the second pivot
+    ((1, 0, 5),),                # an entry outside [0, p)
+    [(1, 0, 2)],                 # a list, not a tuple of rows
+    ((1, 0, 0), (0, 1, 0), (1, 1, 0)),  # dependent rows
+])
+def test_glue_refuses_a_subspace_not_in_echelon_form(subspace):
+    cell = make_cell(standard_vertex(3, 3), 2)
+    with pytest.raises(ArithmeticError, match="does not match the stratum"):
+        glue_edge(BoundaryComponent(cell, len(subspace), subspace))
+
+
 def test_cocycle_holds_and_corruption_breaks_it():
     for p in (2, 3):
         cell = make_cell(standard_vertex(p, 3), 2)
@@ -198,12 +238,17 @@ def test_assemble_complex_builds_one_boundary_polygon(monkeypatch):
     cx = assemble_complex(verts)
     assert calls == [(2, 3)]
     d = cx.to_json_dict()
-    # the dict as built before: each cell's constraint built and written apart
-    assert d["cells"] == [
-        {"vertex": c.vertex.json_dict(),
-         "constraint": real(c.vertex.n, c.vertex.p).to_json_dict()}
-        for c in cx.cells
-    ]
+    assert calls == [(2, 3)]
+    # the constraint every cell carries, written once; each cell keeps only its vertex
+    assert d["constraint"] == real(2, 3).to_json_dict()
+    assert d["cells"] == [{"vertex": c.vertex.json_dict()} for c in cx.cells]
+
+
+def test_complex_json_needs_one_shared_constraint():
+    assert assemble_complex([]).to_json_dict()["constraint"] is None
+    mixed = assemble_complex([standard_vertex(2, 2), standard_vertex(3, 2)])
+    with pytest.raises(ValueError, match="one boundary constraint"):
+        mixed.to_json_dict()
 
 
 def _assemble_every_stratum(vertices, level=2):

@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict, defaultdict
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lubintate import building, periods, wittlab
+from lubintate import building, periods, polygon, wittlab
 from lubintate.cli import _encode, main
 
 
@@ -91,26 +93,41 @@ def test_periods_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, digest", [
+@pytest.mark.parametrize("argv, digest, slim_digest", [
     (("building", "--n", "3", "--p", "2", "--radius", "2"),
-     "ad11a9392c2f89d28c300fffc533055ec967a017a710e8936e57353af24c099d"),
+     "ad11a9392c2f89d28c300fffc533055ec967a017a710e8936e57353af24c099d", None),
     (("building", "--n", "3", "--p", "2", "--radius", "2", "--format", "dot"),
-     "421a500b92581e75619b8d38cfb44b74d856bc4cb3a075a243bc4912ae655896"),
+     "421a500b92581e75619b8d38cfb44b74d856bc4cb3a075a243bc4912ae655896", None),
     (("cells", "complex", "--n", "3", "--p", "2", "--radius", "1"),
-     "4685375133efbac3a322cfeb457defd806dad4fdfd7955afd713566121936a05"),
+     "4685375133efbac3a322cfeb457defd806dad4fdfd7955afd713566121936a05",
+     "922f8d8ad4f0c3f39e54227dd14ef83265bd404bfb84acf4e3f61c5f4940eb88"),
     (("cells", "complex", "--n", "2", "--p", "3", "--radius", "2", "--lift"),
-     "bb88de57a4a2074071d777532fe10d58835ab204a95adde50c41963a61280bbb"),
+     "bb88de57a4a2074071d777532fe10d58835ab204a95adde50c41963a61280bbb",
+     "f50dc9bb68173cd558d43ce7f6cb8fe1aad72574e394621d7e07c31f6412983c"),
     (("cells", "complex", "--n", "3", "--p", "2", "--radius", "3"),
-     "6d3d19b69fac47c3cdf8637ef015070788c043cc41278395d7b05a98a0b58239"),
+     "6d3d19b69fac47c3cdf8637ef015070788c043cc41278395d7b05a98a0b58239",
+     "2cc063d09ef15de50b245f736a74808b7bb90663225d540e1966ed312823d031"),
     (("cells", "complex", "--n", "3", "--p", "3", "--radius", "2"),
-     "6dd763cc83c0e14be3889bccf3f38693a41b222fdf6afb26485a8aacbbaf1931"),
+     "6dd763cc83c0e14be3889bccf3f38693a41b222fdf6afb26485a8aacbbaf1931",
+     "6dc29be91b302cab2eea902c40823effdc334fa8697d29b247ac01c1c687ace6"),
 ])
-def test_lattice_output_is_pinned(capsys, argv, digest):
-    # sha256 of stdout as printed by the Fraction-column lattice kernel; the
-    # last two by the integer Hermite kernel gluing every stratum
+def test_lattice_output_is_pinned(capsys, argv, digest, slim_digest):
+    # digest: sha256 of stdout as printed by the Fraction-column lattice kernel;
+    # the last two by the integer Hermite kernel gluing every stratum.  cells
+    # complex now writes the boundary constraint once (slim_digest); copied
+    # back into every cell, it must give those bytes again.
     code, out = run(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if slim_digest is None:
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        return
+    assert hashlib.sha256(out.encode()).hexdigest() == slim_digest
+    d = json.loads(out)
+    constraint = d.pop("constraint")
+    for cell in d["cells"]:
+        cell["constraint"] = constraint
+    old = json.dumps(d, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(old.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -218,6 +235,30 @@ def test_negative_radius_exits_one(capsys, argv):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: radius must be >= 0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("polygon", "--n", "-1", "--q", "2", "--cm", "1"),
+    ("polygon", "--n", "0", "--q", "2", "--cm", "1"),
+    ("polygon", "--n", "0", "--q", "2", "--vals", "1/2"),
+    ("hecke", "reduce", "--n", "0", "--q", "2", "--vals", "1/2"),
+    ("periods", "--n", "0", "--q", "2", "--depth", "2"),
+    ("building", "--n", "0", "--p", "2"),
+    ("cells", "complex", "--n", "0", "--p", "2"),
+    ("cells", "complex", "--n", "-3", "--p", "2", "--radius", "0", "--format", "dot"),
+    ("cells", "generators", "--n", "0", "--i", "1"),
+])
+def test_n_below_one_exits_one_before_any_work(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("polygon_from_vals", "cm_polygon"):
+        monkeypatch.setattr(polygon, name, refuse)
+    monkeypatch.setattr(building, "standard_vertex", refuse)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: need n >= 1\n"
 
 
 def test_cells_level_one_exits_one(capsys):
@@ -387,6 +428,36 @@ def test_encode_writes_a_shared_container_at_each_depth():
     assert _encode(tree) == _stdlib(tree)
     assert _encode([[], {}, [[]], {"a": {}}, [{}], ""]) == _stdlib([[], {}, [[]], {"a": {}}, [{}], ""])
     assert _encode([True, 1, False, 0, None]) == _stdlib([True, 1, False, 0, None])
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Tag(str):
+    pass
+
+
+def test_encode_dispatch_on_exact_type_keeps_the_stdlib_bytes():
+    grouped = defaultdict(list, {"b": [1, True, 0], "a": [_Level.LOW, 2]})
+    objs = [
+        [1, True, False, 0], [True, False], [_Level.HIGH, _Level.LOW], [_Level.LOW, 3, True],
+        {"level": _Level.HIGH, "flag": False, "none": None},
+        [_Tag("x"), "y"], [_Tag('q"\u00e9')], {_Tag("k"): _Tag("v"), "j": 1},
+        OrderedDict([("z", 1), ("a", [2, 3])]), grouped, OrderedDict(),
+        ((1, 0), (0, 1)), ("a", ("b", ())), {"rows": ((1, 2), [3, (4,)])},
+    ]
+    for obj in objs:
+        assert _encode(obj) == _stdlib(obj), obj
+
+
+@pytest.mark.parametrize("depth", [14, 15, 16, 17, 40])
+def test_encode_nests_past_the_indent_table(depth):
+    tree = [1, "a"]
+    for k in range(depth):
+        tree = {"k": tree, "n": k} if k % 2 else [tree, (k, "t")]
+    assert _encode(tree) == _stdlib(tree)
 
 
 @pytest.mark.parametrize("obj", [

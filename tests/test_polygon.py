@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lubintate import polygon
 from lubintate.polygon import (
@@ -42,28 +44,32 @@ def test_inf_entry_matches_missing_point():
     )
 
 
-def test_extremes_match_hull_small_grid():
-    for n in (2, 3, 4):
-        for q in (2, 3):
-            for den in (1, 2, 3, 4, 5, 6):
-                for num in range(1, 3 * den + 1):
-                    v = Fraction(num, den)
-                    vals = [v] * (n - 1)
-                    poly = polygon_from_vals(n, q, vals)
-                    lam1, lamn = lambda_extremes(n, q, vals)
-                    assert poly.slopes[0] == lam1
-                    assert poly.slopes[-1] == lamn
+@st.composite
+def hull_inputs(draw):
+    """(n, q, vals): n - 1 valuations, each inf or a positive rational."""
+    n = draw(st.integers(2, 5))
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 9)))
+    val = st.just(INF) | st.builds(Fraction, st.integers(1, 18), st.integers(1, 6))
+    return n, q, draw(st.lists(val, min_size=n - 1, max_size=n - 1))
 
 
-def test_extremes_match_hull_mixed_vals():
-    import itertools
-
-    grid = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(5, 4), INF]
-    for vals in itertools.product(grid, repeat=2):
-        poly = polygon_from_vals(3, 2, list(vals))
-        lam1, lamn = lambda_extremes(3, 2, list(vals))
-        assert poly.slopes[0] == lam1, vals
-        assert poly.slopes[-1] == lamn, vals
+@settings(max_examples=300, deadline=None)
+@given(case=hull_inputs())
+# the corners of the fixed grids this test replaced: one value v in [1/6, 3]
+# repeated n - 1 times (n = 2..4, q = 2, 3), and pairs from
+# {1/3, 1/2, 2/3, 5/4, inf} at (n, q) = (3, 2)
+@example(case=(2, 2, [Fraction(1, 6)]))
+@example(case=(2, 3, [Fraction(3)]))
+@example(case=(4, 2, [Fraction(1, 6)] * 3))
+@example(case=(4, 3, [Fraction(3)] * 3))
+@example(case=(3, 2, [INF, INF]))
+@example(case=(3, 2, [Fraction(1, 3), INF]))
+@example(case=(3, 2, [INF, Fraction(5, 4)]))
+@example(case=(3, 2, [Fraction(5, 4), Fraction(1, 3)]))
+def test_extremes_match_hull_mixed_vals(case):
+    n, q, vals = case
+    poly = polygon_from_vals(n, q, vals)
+    assert (poly.slopes[0], poly.slopes[-1]) == lambda_extremes(n, q, vals), case
 
 
 def test_constructor_rejects_bad_mass():
