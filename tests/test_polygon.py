@@ -44,6 +44,19 @@ def test_inf_entry_matches_missing_point():
     )
 
 
+def test_extremes_match_hull_small_grid():
+    for n in (2, 3, 4):
+        for q in (2, 3):
+            for den in (1, 2, 3, 4, 5, 6):
+                for num in range(1, 3 * den + 1):
+                    v = Fraction(num, den)
+                    vals = [v] * (n - 1)
+                    poly = polygon_from_vals(n, q, vals)
+                    lam1, lamn = lambda_extremes(n, q, vals)
+                    assert poly.slopes[0] == lam1
+                    assert poly.slopes[-1] == lamn
+
+
 @st.composite
 def hull_inputs(draw):
     """(n, q, vals): n - 1 valuations, each inf or a positive rational."""
@@ -55,8 +68,8 @@ def hull_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=hull_inputs())
-# the corners of the fixed grids this test replaced: one value v in [1/6, 3]
-# repeated n - 1 times (n = 2..4, q = 2, 3), and pairs from
+# grid corners kept as examples: one value v in [1/6, 3] repeated n - 1
+# times (n = 2..4, q = 2, 3), as in the small grid above, and pairs from
 # {1/3, 1/2, 2/3, 5/4, inf} at (n, q) = (3, 2)
 @example(case=(2, 2, [Fraction(1, 6)]))
 @example(case=(2, 3, [Fraction(3)]))
