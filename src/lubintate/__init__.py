@@ -13,7 +13,7 @@ periods    : crystalline period tuples of the universal deformation, two ways
 polygon    : Newton polygons of p-divisible groups, domains D and H
 hecke      : canonical-subgroup quotients and reduction into the good domain
 building   : lattice vertices of the (GL_n x D*)/F* cell complex
-cells      : polydisk cells, boundary components, gluing, cocycle checks
+cells      : polydisk cells, boundary strata, gluing, cocycle checks
 fqlin      : linear algebra over F_p, and matrix inversion over Q
 sparsepoly : sparse Laurent polynomials in pi on packed exponent keys
 wittlab    : ramified Witt vectors and O-divided powers

@@ -1,13 +1,16 @@
 """Polydisk cells over lattice vertices and their boundary gluing.
 
-A cell carries a building vertex, a principal congruence level m >= 1, and
-the polygon bound cutting out the good-reduction locus.  Its boundary
-strata are indexed by nonzero proper subspaces E of pi^(-1)Lambda/Lambda
+A cell is a building vertex and a principal congruence level m >= 1.  Every
+cell has the same polygon bound cutting out the good-reduction locus, the
+fully ramified CM polygon gh_boundary_polygon(n, p), which each canonical
+quotient maps to itself; so a cell does not carry it, and a complex writes
+it once.  A boundary stratum is a nonzero proper subspace E of
+pi^(-1)Lambda/Lambda, held as its reduced row-echelon basis over F_p
 (coordinates taken in the basis p^(-1-k) H of pi^(-1)Lambda, where
-Lambda = p^(-k) H is the vertex's Hermite form).  Gluing a stratum
-crosses to the vertex of the preimage lattice p^(-1)(E); the matched
-stratum on the far side is the image of pi^(-1)Lambda, and gluing twice is
-the identity on components.
+Lambda = p^(-k) H is the vertex's Hermite form); its rank is len(E).
+Gluing a stratum crosses to the vertex of the preimage lattice p^(-1)(E);
+the matched stratum on the far side is the image of pi^(-1)Lambda, and
+gluing twice is the identity on strata.
 
 The transition matrix of a glue step is the honest mod-p coordinate map
 between the two pi-quotients, read off integer back substitution in the
@@ -37,7 +40,7 @@ from .fqlin import (
     span_contains,
 )
 from .hecke import canonical_quotient
-from .polygon import NewtonPolygon, gh_boundary_polygon
+from .polygon import gh_boundary_polygon
 from .valuations import sum_terms
 
 
@@ -49,7 +52,6 @@ class LevelError(ValueError):
 class Cell:
     vertex: BuildingVertex
     level: int
-    constraint: NewtonPolygon
 
 
 def _check_cell_level(level: int) -> None:
@@ -59,27 +61,7 @@ def _check_cell_level(level: int) -> None:
 
 def make_cell(vertex: BuildingVertex, level: int) -> Cell:
     _check_cell_level(level)
-    return Cell(vertex, level, gh_boundary_polygon(vertex.n, vertex.p))
-
-
-@dataclass(frozen=True)
-class BoundaryComponent:
-    cell: Cell
-    rank: int
-    subspace: tuple  # RREF rows over F_p, dim = rank; compared as-is with rref output
-
-
-def boundary_components(cell: Cell, rank: int):
-    """All rank-dim boundary strata; count is the Gaussian binomial."""
-    n, p = cell.vertex.n, cell.vertex.p
-    if not 1 <= rank <= n - 1:
-        raise ValueError("boundary rank must satisfy 1 <= rank <= n-1")
-    if cell.level < 1:
-        raise LevelError("boundary strata need level >= 1")
-    return [
-        BoundaryComponent(cell, rank, rows)
-        for rows in echelon_subspaces(n, rank, p)
-    ]
+    return Cell(vertex, level)
 
 
 def full_flags(cell: Cell):
@@ -116,12 +98,6 @@ def _mod_p_matrix(coords, p: int):
     return tuple(zip(*cols))
 
 
-@dataclass(frozen=True)
-class GlueResult:
-    component: BoundaryComponent
-    transition: tuple  # n x n rows over F_p, kernel = source subspace
-
-
 def _image_with_kernel(T, E, p: int):
     """T's image, its columns echelonized as rows, once ker T = span E is checked.
 
@@ -145,26 +121,31 @@ def _transition(lat, far, E):
     return T, _image_with_kernel(T, E, lat.p)
 
 
-def glue_edge(b: BoundaryComponent) -> GlueResult:
-    """Cross a boundary stratum to its matched stratum at the far vertex.
+def glue_edge(cell: Cell, E: tuple):
+    """Cross the stratum E of cell: (far cell, matched far stratum, transition T).
 
-    The far lattice is Lambda' = Lambda + p^(-1) E; the congruence level m
-    must satisfy p^m End(Lambda) c p End(Lambda') (two-sided stabilizer
+    T is the n x n mod-p matrix, rows over F_p, with kernel span E.  The far
+    lattice is Lambda' = Lambda + p^(-1) E; the congruence level m must
+    satisfy p^m End(Lambda) c p End(Lambda') (two-sided stabilizer
     condition).  It fails by p^(1 - m - a - b), a and b the least valuations
     of the coordinates of Lambda in Lambda' and of Lambda' in Lambda.  As
     Lambda < Lambda' < p^(-1) Lambda strictly, a = 0 and b = -1 for every
     proper stratum, so the condition is m >= 2: assemble_complex checks it once.
+
+    The far cell needs no boundary polygon of its own because the rank-len(E)
+    canonical quotient fixes gh_boundary_polygon(n, p); that is checked here,
+    and it refuses ranks 0 and n.
     """
-    cell = b.cell
     _check_level(cell.level)
     vtx = cell.vertex
-    far = neighbour(vtx.lat, b.subspace).scale(-1)
-    T, star = _transition(vtx.lat, far, b.subspace)
-    if rref(b.subspace, vtx.p)[0] != b.subspace:  # _transition takes only RREF bases
+    far = neighbour(vtx.lat, E).scale(-1)
+    T, star = _transition(vtx.lat, far, E)
+    if rref(E, vtx.p)[0] != E:  # _transition takes only RREF bases
         raise ArithmeticError("transition kernel does not match the stratum")
-    image = canonical_quotient(cell.constraint, b.rank).image
-    far_cell = Cell(make_vertex(far, vtx.h + b.rank), cell.level, image)
-    return GlueResult(BoundaryComponent(far_cell, vtx.n - b.rank, star), T)
+    bound = gh_boundary_polygon(vtx.n, vtx.p)
+    if canonical_quotient(bound, len(E)).image != bound:
+        raise ArithmeticError(f"the rank-{len(E)} canonical quotient moves the boundary polygon")
+    return Cell(make_vertex(far, vtx.h + len(E)), cell.level), star, T
 
 
 def cocycle_check(cell: Cell, inner, outer, corruption=None) -> bool:
@@ -184,27 +165,24 @@ def cocycle_check(cell: Cell, inner, outer, corruption=None) -> bool:
     if inner_r == outer_r:
         return True
 
-    direct = glue_edge(BoundaryComponent(cell, len(outer_r), outer_r))
-    step1 = glue_edge(BoundaryComponent(cell, len(inner_r), inner_r))
-    mid_cell = step1.component.cell
-    relabel = step1.transition
+    direct_cell, direct_star, direct_T = glue_edge(cell, outer_r)
+    mid_cell, mid_star, relabel = glue_edge(cell, inner_r)
     if corruption is not None:
         relabel = mat_mul(corruption, relabel, p)
     mid_sub = image_rows(relabel, outer_r, p)
     if len(mid_sub) != len(outer_r) - len(inner_r):
         return False
-    if not span_contains(step1.component.subspace, mid_sub, p):
+    if not span_contains(mid_star, mid_sub, p):
         return False
-    step2 = glue_edge(BoundaryComponent(mid_cell, len(mid_sub), mid_sub))
-    if step2.component.cell.vertex != direct.component.cell.vertex:
+    far_cell, _, step2_T = glue_edge(mid_cell, mid_sub)
+    if far_cell.vertex != direct_cell.vertex:
         return False
-    composite = mat_mul(step2.transition, relabel, p)
+    composite = mat_mul(step2_T, relabel, p)
     if kernel_basis(composite, p) != outer_r:
         return False
     comp_image = rref([tuple(row) for row in zip(*composite)], p)[0]
-    if comp_image != direct.component.subspace:
+    if comp_image != direct_star:
         return False
-    direct_T = direct.transition
     return composite == direct_T
 
 
@@ -251,14 +229,15 @@ class CellComplex:
     def to_json_dict(self):
         """The complex as JSON, its cells' one boundary constraint written once.
 
+        The constraint is gh_boundary_polygon(n, p) for the cells' one (n, p).
         Subspaces stay tuples of row tuples, which encode as arrays.
         """
-        shared = self.cells[0].constraint if self.cells else None
-        if any(c.constraint != shared for c in self.cells):
+        shapes = {(c.vertex.n, c.vertex.p) for c in self.cells}
+        if len(shapes) > 1:
             raise ValueError("the cells do not share one boundary constraint")
         return {
             "level": self.level,
-            "constraint": None if shared is None else shared.to_json_dict(),
+            "constraint": gh_boundary_polygon(*shapes.pop()).to_json_dict() if shapes else None,
             "cells": [{"vertex": c.vertex.json_dict()} for c in self.cells],
             "edges": [
                 {
@@ -280,18 +259,16 @@ class CellComplex:
 def assemble_complex(vertices, level: int = 2) -> CellComplex:
     """Cells over an explicit vertex set, glued along strata joining them.
 
-    Each unordered glued pair of boundary components contributes one edge.
+    Each unordered glued pair of boundary strata contributes one edge.
     A stratum E whose far vertex [Lambda + p^(-1) E, h + rank] falls outside
     the set is dangling and not glued; one reached by an earlier glue is
-    skipped, since gluing is an involution.  No far cell is built: every cell
-    carries gh_boundary_polygon(n, p), which each canonical quotient fixes,
-    built once for each (n, p) of the set.
+    skipped, since gluing is an involution.  No far cell is built and no
+    polygon: a cell is its vertex and level.
     """
     verts = sorted(set(vertices), key=lambda v: v.sort_key())
     index = {v: k for k, v in enumerate(verts)}
     _check_cell_level(level)
-    bounds = {key: gh_boundary_polygon(*key) for key in {(v.n, v.p) for v in verts}}
-    cells = tuple(Cell(v, level, bounds[v.n, v.p]) for v in verts)
+    cells = tuple(Cell(v, level) for v in verts)
     if any(v.n > 1 for v in verts):
         _check_level(level)
     edges = []

@@ -10,7 +10,9 @@ boundary constraint its cells share once, not once per cell.
 Exit codes: 0 on success, 1 on domain errors (collisions, budget or level
 failures, bad valuations) and when the reader closes stdout early, 2 on
 usage errors (argparse's own convention).  Every subcommand with an `--n`
-refuses n < 1, `building` and `cells complex` refuse a radius whose ball
+refuses n < 1, one with an integer `--q` a q that is not a prime power,
+one with a `--p` a p that is not prime, and `hecke reduce` a negative
+`--budget`; `building` and `cells complex` refuse a radius whose ball
 and out-edges may need more than `building.BALL_WORK_BUDGET` neighbour
 lattices, `periods` a depth past the budgets of `periods.check_budget`,
 and `witt selftest` a (max-n, q) past `wittlab.SELFTEST_MAX_Q`; all before
@@ -31,7 +33,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import building, cells, hecke, periods, polygon, wittlab
-from .valuations import frac_json
+from .valuations import _is_prime, frac_json, prime_power_split
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -263,6 +265,13 @@ def cmd_cells_generators(args) -> int:
     return 0
 
 
+def _report(checks):
+    """An `ok  ` or `FAIL` line for each (name, ok) check, and exit code 1 if any failed."""
+    checks = list(checks)
+    lines = [f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in checks]
+    return lines, 0 if all(ok for _, ok in checks) else 1
+
+
 def _witt_checks(laws):
     for law in laws:
         verdicts = (("integral", wittlab.check_o_integrality(law)),
@@ -296,11 +305,7 @@ def cmd_witt_selftest(args) -> int:
     qs = [int(x) for x in args.q.split(",")]
     wittlab.check_selftest_budget(args.max_n, qs)
     laws = [wittlab.witt_structure_polys(args.max_n, q) for q in qs]
-    failures = 0
-    lines = []
-    for name, ok in _witt_checks(laws):
-        lines.append(f"{'ok  ' if ok else 'FAIL'} {name}")
-        failures += 0 if ok else 1
+    lines, code = _report(_witt_checks(laws))
     for law in laws:
         lines.append(f"structure polynomials, q={law.q}, N={law.N}:")
         for fam, tag in ((law.sum_polys, "S"), (law.prod_polys, "P"),
@@ -308,21 +313,12 @@ def cmd_witt_selftest(args) -> int:
             for i, poly in enumerate(fam):
                 lines.append(f"  {tag}_{i} = {law.poly_ring.fmt(poly)}")
     _emit(args, "\n".join(lines))
-    return 1 if failures else 0
+    return code
 
 
-def cmd_selftest(args) -> int:
-    lines = []
-    failures = 0
-
-    def record(name, ok):
-        nonlocal failures
-        lines.append(f"{'ok  ' if ok else 'FAIL'} {name}")
-        failures += 0 if ok else 1
-
+def _smoke_checks():
     pt = periods.period_series(2, 2, 2)
-    record("periods recurrence = product",
-           pt == periods.period_series_product(2, 2, 2))
+    yield "periods recurrence = product", pt == periods.period_series_product(2, 2, 2)
 
     grid = [Fraction(a, 5) for a in range(1, 5)]
     ok = True
@@ -330,25 +326,28 @@ def cmd_selftest(args) -> int:
         poly = polygon.polygon_from_vals(2, 2, [v1])
         l1, ln = polygon.lambda_extremes(2, 2, [v1])
         ok = ok and (l1, ln) == (poly.slopes[0], poly.slopes[-1])
-    record("polygon extremes = hull", ok)
+    yield "polygon extremes = hull", ok
 
     res = hecke.reduce_to_domain(polygon.polygon_from_vals(2, 3, [Fraction(3, 10)]))
-    record("hecke reduce lands in D", polygon.in_gross_hopkins(res.final))
+    yield "hecke reduce lands in D", polygon.in_gross_hopkins(res.final)
 
     sizes = [len(building.ball(building.standard_vertex(3, 2), r)) for r in range(3)]
-    record("ball sizes (1,5,17)", sizes == [1, 5, 17])
+    yield "ball sizes (1,5,17)", sizes == [1, 5, 17]
 
     cx = cells.assemble_complex(building.ball(building.standard_vertex(3, 2), 1))
-    record("cell complex (5,4)", (len(cx.cells), len(cx.edges)) == (5, 4))
+    yield "cell complex (5,4)", (len(cx.cells), len(cx.edges)) == (5, 4)
 
     law = wittlab.witt_structure_polys(2, 2)
     key = law.poly_ring.key
     want = {key(0, (("x1", 1),)): 1, key(0, (("y1", 1),)): 1,
             key(-1, (("x0", 1), ("y0", 1))): -2}  # x1 + y1 - 2*x0*y0/pi
-    record("witt S_1 at q=2", law.sum_polys[1] == want)
+    yield "witt S_1 at q=2", law.sum_polys[1] == want
 
+
+def cmd_selftest(args) -> int:
+    lines, code = _report(_smoke_checks())
     _emit(args, "\n".join(lines))
-    return 1 if failures else 0
+    return code
 
 
 # ---------------------------------------------------------------------
@@ -454,6 +453,12 @@ def main(argv=None) -> int:
             _check_out(args.out)
         if getattr(args, "n", 1) < 1:
             raise ValueError("need n >= 1")
+        if type(getattr(args, "q", None)) is int:  # witt selftest takes a list
+            prime_power_split(args.q)
+        if not _is_prime(getattr(args, "p", 2)):
+            raise ValueError("p must be prime")
+        if getattr(args, "budget", 0) < 0:
+            raise ValueError("need budget >= 0")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except (ValueError, ArithmeticError, RuntimeError) as exc:

@@ -31,6 +31,11 @@ CF2_MAX_DEPTH = 6  # cf2_convention reruns the recurrence at twice the depth
 CF2_CAP_BUDGET = 2 ** 20  # the most exponents q^depth the cf2 quotient series may span
 
 
+def _check_shape(n: int, depth: int = 0) -> None:
+    if n < 2 or depth < 0:
+        raise ValueError("need n >= 2 and depth >= 0")
+
+
 def check_budget(n: int, q: int, depth: int, cf2: bool = False) -> None:
     """Refuse, before any series work, a period tuple that may hold more than
     SERIES_TERM_BUDGET terms, and with cf2 a depth above CF2_MAX_DEPTH or a
@@ -42,8 +47,7 @@ def check_budget(n: int, q: int, depth: int, cf2: bool = False) -> None:
     component plus the terms each step adds; it grows by at least n - 1 per
     step, so the count stops within the budget.
     """
-    if n < 2 or depth < 0:
-        raise ValueError("need n >= 2 and depth >= 0")
+    _check_shape(n, depth)
     total = n
     if total <= SERIES_TERM_BUDGET:
         sizes = [1] + [0] * (n - 1)
@@ -85,8 +89,7 @@ class DisplayMatrices:
 
 
 def display_matrices(n: int, q: int, cap: int, ring: RamifiedRing | None = None) -> DisplayMatrices:
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_shape(n)
     ring = _ring_for(ring, q)
     nv = n - 1
     zero = TruncSeries.zero(ring, nv, cap)
@@ -112,9 +115,8 @@ def display_matrices(n: int, q: int, cap: int, ring: RamifiedRing | None = None)
     return DisplayMatrices(SeriesMatrix(A), SeriesMatrix(B))
 
 
-def b_inverse(n: int, cap: int, ring: RamifiedRing | None = None) -> SeriesMatrix:
+def b_inverse(n: int, cap: int, ring: RamifiedRing) -> SeriesMatrix:
     """Exact inverse of the constant matrix B (Laurent coefficients in pi)."""
-    ring = ring or default_coeff_ring()
     nv = n - 1
     zero = TruncSeries.zero(ring, nv, cap)
     one = TruncSeries.one(ring, nv, cap)
@@ -150,10 +152,11 @@ def period_series(n: int, q: int, depth: int, cap: int | None = None,
     """Period tuple by the one-row recurrence.
 
     Step k (b = k mod n) right-multiplies the row by B^b C^(sigma^k) B^(-b),
-    which in coordinates is a single rank-one update driven by f_b.
+    which in coordinates is a single rank-one update driven by f_b:
+    f_i += x_t^(q^k) pi^alpha f_b for i != b, with t = (i - b) mod n and
+    alpha = -1 unless b = 0 or 1 <= i < b.
     """
-    if n < 2 or depth < 0:
-        raise ValueError("need n >= 2 and depth >= 0")
+    _check_shape(n, depth)
     ring = _ring_for(ring, q)
     cap = cap if cap is not None else max(q ** depth, 1)
     nv = n - 1
@@ -168,26 +171,18 @@ def period_series(n: int, q: int, depth: int, cap: int | None = None,
             exps = tuple(e if s == t - 1 else 0 for s in range(nv))
             return TruncSeries.monomial(ring, nv, cap, exps, LaurentCoeff.one(ring))
 
-        if b == 0:
-            f0 = f[0]
-            for i in range(1, n):
-                f[i] = f[i] + xpow(i) * f0
-        else:
-            fb = f[b]
-            for i in range(n):
-                if i == b:
-                    continue
-                alpha = 0 if 1 <= i <= b - 1 else -1
-                t = (n - b + i) % n
-                f[i] = f[i] + (xpow(t) * fb).mul_pi_power(alpha)
+        fb = f[b]
+        for i in range(n):
+            if i != b:
+                term = xpow((i - b) % n) * fb
+                f[i] = f[i] + (term if b == 0 or 1 <= i < b else term.mul_pi_power(-1))
     return PeriodTuple(n, q, depth, cap, tuple(f))
 
 
 def period_series_product(n: int, q: int, depth: int, cap: int | None = None,
                           ring: RamifiedRing | None = None) -> PeriodTuple:
     """Oracle: first row of A A^(sigma) ... A^(sigma^(depth-1)) B^(-depth)."""
-    if n < 2 or depth < 0:
-        raise ValueError("need n >= 2 and depth >= 0")
+    _check_shape(n, depth)
     ring = _ring_for(ring, q)
     cap = cap if cap is not None else max(q ** depth, 1)
     disp = display_matrices(n, q, cap, ring)

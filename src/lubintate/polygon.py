@@ -121,16 +121,11 @@ def polygon_from_vals(n: int, q: int, vals) -> NewtonPolygon:
     points.append((q ** n, Fraction(0)))
     hull = _lower_hull(points)
 
+    # a hull segment from q^a to q^b carries the slope of blocks a + 1 .. b
+    exponent = {q ** i: i for i in range(n + 1)}
     slopes = []
-    seg = 0
-    seg_slope = (hull[0][1] - hull[1][1]) / (hull[1][0] - hull[0][0])
-    for j in range(1, n + 1):
-        while hull[seg + 1][0] < q ** j:
-            seg += 1
-            seg_slope = (hull[seg][1] - hull[seg + 1][1]) / (
-                hull[seg + 1][0] - hull[seg][0]
-            )
-        slopes.append(seg_slope)
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        slopes += [(y1 - y2) / (x2 - x1)] * (exponent[x2] - exponent[x1])
     return NewtonPolygon(n, q, slopes)
 
 

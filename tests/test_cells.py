@@ -1,5 +1,7 @@
 """Cells over vertices, boundary gluing, cocycles, complex assembly."""
 
+import dataclasses
+
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -7,12 +9,11 @@ from hypothesis import strategies as st
 from lubintate import cells
 from lubintate.building import act, ball, descent, neighbour, out_edges, standard_vertex
 from lubintate.cells import (
-    BoundaryComponent,
+    Cell,
     CellComplex,
     GluedEdge,
     LevelError,
     assemble_complex,
-    boundary_components,
     cocycle_check,
     full_flags,
     glue_edge,
@@ -20,28 +21,17 @@ from lubintate.cells import (
     make_cell,
     saturation_check,
 )
-from lubintate.fqlin import echelon_subspaces, gaussian_binomial, kernel_basis, rref
+from lubintate.fqlin import echelon_subspaces, kernel_basis, rref
 from lubintate.hecke import canonical_quotient
-from lubintate.polygon import gh_boundary_polygon
+from lubintate.polygon import cm_polygon, gh_boundary_polygon
 from lubintate.valuations import vp
 
 
-def test_make_cell_carries_boundary_constraint():
+def test_make_cell_is_vertex_and_level():
     v = standard_vertex(3, 2)
-    cell = make_cell(v, 2)
-    assert cell.constraint == gh_boundary_polygon(2, 3)
+    assert make_cell(v, 2) == Cell(v, 2)
     with pytest.raises(LevelError):
         make_cell(v, 0)
-
-
-def test_boundary_component_counts():
-    v = standard_vertex(2, 3)
-    cell = make_cell(v, 2)
-    for rank in (1, 2):
-        comps = boundary_components(cell, rank)
-        assert len(comps) == gaussian_binomial(3, rank, 2)
-    with pytest.raises(ValueError, match="rank"):
-        boundary_components(cell, 3)
 
 
 def test_full_flags_count():
@@ -54,12 +44,11 @@ def test_full_flags_count():
 def test_glue_is_involutive():
     v = standard_vertex(3, 2)
     cell = make_cell(v, 2)
-    for comp in boundary_components(cell, 1):
-        res = glue_edge(comp)
-        assert res.component.rank == 1
-        back = glue_edge(res.component)
-        assert back.component.cell.vertex == v
-        assert rref(back.component.subspace, 3)[0] == rref(comp.subspace, 3)[0]
+    for E in echelon_subspaces(2, 1, 3):
+        far_cell, far_E, _ = glue_edge(cell, E)
+        assert len(far_E) == 1
+        back_cell, back_E, _ = glue_edge(far_cell, far_E)
+        assert back_cell == cell and back_E == E
 
 
 @pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (3, 3), (4, 2)])
@@ -69,27 +58,40 @@ def test_glue_far_vertex_is_an_edge_neighbour(n, p):
         down = set(out_edges(v))
         cell = make_cell(v, 2)
         for rank in range(1, n):
-            for comp in boundary_components(cell, rank):
-                assert (glue_edge(comp).component.cell.vertex, n - rank) in down
+            for E in echelon_subspaces(n, rank, p):
+                assert (glue_edge(cell, E)[0].vertex, n - rank) in down
 
 
-def test_glue_updates_constraint_by_quotient():
-    v = standard_vertex(3, 2)
-    cell = make_cell(v, 2)
-    comp = boundary_components(cell, 1)[0]
-    res = glue_edge(comp)
-    assert res.component.cell.vertex.h == -1
-    want = canonical_quotient(cell.constraint, 1).image
-    assert res.component.cell.constraint == want
+def test_glue_checks_the_quotient_fixes_the_boundary_polygon(monkeypatch):
+    cell = make_cell(standard_vertex(3, 2), 2)
+    E = next(echelon_subspaces(2, 1, 3))
+    assert glue_edge(cell, E)[0].vertex.h == -1
+    real = cells.canonical_quotient
+
+    def moving(poly, i):
+        # the quotient of the fully ramified polygon, sent to the unramified one
+        return dataclasses.replace(real(poly, i), image=cm_polygon(poly.n, poly.q, 1))
+
+    monkeypatch.setattr(cells, "canonical_quotient", moving)
+    with pytest.raises(ArithmeticError, match="rank-1 canonical quotient moves the boundary"):
+        glue_edge(cell, E)
+
+
+@pytest.mark.parametrize("E", [(), ((1, 0), (0, 1))])
+def test_glue_refuses_rank_zero_and_full_rank(E):
+    cell = make_cell(standard_vertex(3, 2), 2)
+    with pytest.raises(ValueError, match=r"^canonical rank i must satisfy 1 <= i <= n-1$"):
+        glue_edge(cell, E)
 
 
 def test_glue_needs_level_two():
     v = standard_vertex(3, 2)
     shallow = make_cell(v, 1)
+    E = next(echelon_subspaces(2, 1, 3))
     with pytest.raises(LevelError, match="too coarse"):
-        glue_edge(boundary_components(shallow, 1)[0])
+        glue_edge(shallow, E)
     # level 2 is exactly enough
-    glue_edge(boundary_components(make_cell(v, 2), 1)[0])
+    glue_edge(make_cell(v, 2), E)
     # a lone cell glues nothing, its strata all dangle, and level 1 still fails
     with pytest.raises(LevelError, match=r"level 1 too coarse: .* fails by p\^1$"):
         assemble_complex([standard_vertex(2, 3)], level=1)
@@ -129,9 +131,9 @@ def test_level_condition_is_level_two_on_every_stratum(p, n, data):
 def test_glue_twice_is_identity_and_cocycle_holds(p, n, data):
     cell = make_cell(_random_vertex(p, n, data), 2)
     rank, outer = _random_stratum(p, n, data)
-    there = glue_edge(BoundaryComponent(cell, rank, outer)).component
-    back = glue_edge(there).component
-    assert (back.cell.vertex, back.rank, back.subspace) == (cell.vertex, rank, outer)
+    there_cell, there_E, _ = glue_edge(cell, outer)
+    assert len(there_E) == n - rank
+    assert glue_edge(there_cell, there_E)[:2] == (cell, outer)
     # a random stratum inside outer: the span of random combinations of its rows
     combos = []
     for _ in range(data.draw(st.integers(1, rank))):
@@ -179,7 +181,7 @@ def test_one_elimination_kernel_check_matches_kernel_basis(p, n, data):
 def test_glue_refuses_a_subspace_not_in_echelon_form(subspace):
     cell = make_cell(standard_vertex(3, 3), 2)
     with pytest.raises(ArithmeticError, match="does not match the stratum"):
-        glue_edge(BoundaryComponent(cell, len(subspace), subspace))
+        glue_edge(cell, subspace)
 
 
 def test_cocycle_holds_and_corruption_breaks_it():
@@ -205,7 +207,7 @@ def test_assemble_complex_counts():
 
 
 def test_boundary_polygon_is_fixed_by_every_canonical_quotient():
-    # why every cell of an assembled complex carries make_cell's constraint
+    # why a cell carries no polygon: glue_edge checks this, the complex writes it once
     for n in range(2, 7):
         for q in (2, 3, 4, 5, 7, 8, 9):
             poly = gh_boundary_polygon(n, q)
@@ -221,7 +223,7 @@ def test_assemble_complex_takes_no_canonical_quotient(monkeypatch):
     monkeypatch.setattr(cells, "canonical_quotient", refuse)
     assert assemble_complex(ball(standard_vertex(2, 3), 1)) == want
     with pytest.raises(AssertionError, match="no far cell"):
-        glue_edge(boundary_components(make_cell(standard_vertex(2, 3), 2), 1)[0])
+        glue_edge(make_cell(standard_vertex(2, 3), 2), next(echelon_subspaces(3, 1, 2)))
 
 
 def test_assemble_complex_builds_one_boundary_polygon(monkeypatch):
@@ -236,10 +238,10 @@ def test_assemble_complex_builds_one_boundary_polygon(monkeypatch):
 
     monkeypatch.setattr(cells, "gh_boundary_polygon", counting)
     cx = assemble_complex(verts)
-    assert calls == [(2, 3)]
+    assert calls == []
     d = cx.to_json_dict()
     assert calls == [(2, 3)]
-    # the constraint every cell carries, written once; each cell keeps only its vertex
+    # the constraint every cell shares, written once; each cell keeps only its vertex
     assert d["constraint"] == real(2, 3).to_json_dict()
     assert d["cells"] == [{"vertex": c.vertex.json_dict()} for c in cx.cells]
 
@@ -259,21 +261,18 @@ def _assemble_every_stratum(vertices, level=2):
     edges = {}
     dangling = []
     for ci, cell in enumerate(cells):
-        n = cell.vertex.n
+        n, p = cell.vertex.n, cell.vertex.p
         for rank in range(1, n):
-            for comp in boundary_components(cell, rank):
-                res = glue_edge(comp)
-                far_v = res.component.cell.vertex
-                if far_v not in index:
-                    dangling.append((ci, rank, comp.subspace))
+            for E in echelon_subspaces(n, rank, p):
+                far_cell, far_E, _ = glue_edge(cell, E)
+                if far_cell.vertex not in index:
+                    dangling.append((ci, rank, E))
                     continue
-                cj = index[far_v]
-                key = frozenset({(ci, comp.subspace), (cj, res.component.subspace)})
+                cj = index[far_cell.vertex]
+                key = frozenset({(ci, E), (cj, far_E)})
                 if key in edges:
                     continue
-                edges[key] = GluedEdge(
-                    ci, comp.subspace, cj, res.component.subspace, min(rank, n - rank)
-                )
+                edges[key] = GluedEdge(ci, E, cj, far_E, min(rank, n - rank))
     ordered = tuple(
         sorted(edges.values(), key=lambda e: (e.cell_a, e.cell_b, e.subspace_a))
     )

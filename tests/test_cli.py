@@ -261,6 +261,34 @@ def test_n_below_one_exits_one_before_any_work(capsys, monkeypatch, argv):
     assert captured.err == "error: need n >= 1\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("polygon", "--n", "2", "--q", "1", "--vals", "1/2"), "q must be a prime power >= 2"),
+    (("polygon", "--n", "2", "--q", "1", "--cm", "1"), "q must be a prime power >= 2"),
+    (("polygon", "--n", "2", "--q", "6", "--vals", "1/2"), "6 is not a prime power"),
+    (("hecke", "quotient", "--n", "2", "--q", "1", "--vals", "1/2", "--rank", "1"),
+     "q must be a prime power >= 2"),
+    (("hecke", "reduce", "--n", "3", "--q", "1", "--vals", "1/2,1/3"),
+     "q must be a prime power >= 2"),
+    (("hecke", "reduce", "--n", "2", "--q", "2", "--vals", "1/3", "--budget", "-1"),
+     "need budget >= 0"),
+    (("periods", "--n", "2", "--q", "0", "--depth", "1"), "q must be a prime power >= 2"),
+    (("building", "--n", "2", "--p", "4"), "p must be prime"),
+    (("cells", "complex", "--n", "2", "--p", "1"), "p must be prime"),
+])
+def test_bad_q_p_or_budget_exits_one_before_any_work(capsys, monkeypatch, argv, err):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("polygon_from_vals", "cm_polygon"):
+        monkeypatch.setattr(polygon, name, refuse)
+    monkeypatch.setattr(building, "standard_vertex", refuse)
+    monkeypatch.setattr(periods, "check_budget", refuse)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_cells_level_one_exits_one(capsys):
     # every stratum of the single radius-0 cell dangles; the level still fails
     code = main(["cells", "complex", "--n", "3", "--p", "2", "--radius", "0",
