@@ -54,13 +54,23 @@ class Cell:
     level: int
 
 
-def _check_cell_level(level: int) -> None:
+def check_level(level: int, n: int) -> None:
+    """Refuse a congruence level too coarse for cells of rank-n lattices.
+
+    Every cell needs level >= 1.  Once n > 1 its proper strata glue, and
+    the stabilizer condition of every proper stratum is level >= 2 (see
+    glue_edge).
+    """
     if level < 1:
         raise LevelError("cells require principal level >= 1")
+    if n > 1 and level < 2:
+        raise LevelError(
+            f"level {level} too coarse: stabilizer condition fails by p^{2 - level}"
+        )
 
 
 def make_cell(vertex: BuildingVertex, level: int) -> Cell:
-    _check_cell_level(level)
+    check_level(level, 1)
     return Cell(vertex, level)
 
 
@@ -78,14 +88,6 @@ def full_flags(cell: Cell):
             yield from extend(flag + [rows], d + 1)
 
     return list(extend([], 1))
-
-
-def _check_level(level: int) -> None:
-    """The stabilizer condition of every proper stratum: level >= 2."""
-    if level < 2:
-        raise LevelError(
-            f"level {level} too coarse: stabilizer condition fails by p^{2 - level}"
-        )
 
 
 def _mod_p_matrix(coords, p: int):
@@ -136,8 +138,8 @@ def glue_edge(cell: Cell, E: tuple):
     canonical quotient fixes gh_boundary_polygon(n, p); that is checked here,
     and it refuses ranks 0 and n.
     """
-    _check_level(cell.level)
     vtx = cell.vertex
+    check_level(cell.level, vtx.n)
     far = neighbour(vtx.lat, E).scale(-1)
     T, star = _transition(vtx.lat, far, E)
     if rref(E, vtx.p)[0] != E:  # _transition takes only RREF bases
@@ -156,8 +158,14 @@ def cocycle_check(cell: Cell, inner, outer, corruption=None) -> bool:
     triangle: trivially true.  `corruption` (an invertible mod-p matrix)
     is inserted into the intermediate relabeling to exercise the negative
     direction; any nontrivial corruption must break the comparison.
+
+    The composite's kernel is tested; its image equals the direct glue's
+    once the composite equals the direct transition, whose kernel and image
+    glue_edge checked.
     """
-    p = cell.vertex.p
+    p, n = cell.vertex.p, cell.vertex.n
+    if corruption is not None and (len(corruption) != n or len(rref(corruption, p)[0]) != n):
+        raise ValueError("corruption must be an invertible n x n mod-p matrix")
     inner_r = rref(inner, p)[0]
     outer_r = rref(outer, p)[0]
     if not span_contains(outer_r, inner_r, p):
@@ -165,13 +173,11 @@ def cocycle_check(cell: Cell, inner, outer, corruption=None) -> bool:
     if inner_r == outer_r:
         return True
 
-    direct_cell, direct_star, direct_T = glue_edge(cell, outer_r)
+    direct_cell, _, direct_T = glue_edge(cell, outer_r)
     mid_cell, mid_star, relabel = glue_edge(cell, inner_r)
     if corruption is not None:
         relabel = mat_mul(corruption, relabel, p)
     mid_sub = image_rows(relabel, outer_r, p)
-    if len(mid_sub) != len(outer_r) - len(inner_r):
-        return False
     if not span_contains(mid_star, mid_sub, p):
         return False
     far_cell, _, step2_T = glue_edge(mid_cell, mid_sub)
@@ -179,9 +185,6 @@ def cocycle_check(cell: Cell, inner, outer, corruption=None) -> bool:
         return False
     composite = mat_mul(step2_T, relabel, p)
     if kernel_basis(composite, p) != outer_r:
-        return False
-    comp_image = rref([tuple(row) for row in zip(*composite)], p)[0]
-    if comp_image != direct_star:
         return False
     return composite == direct_T
 
@@ -267,10 +270,8 @@ def assemble_complex(vertices, level: int = 2) -> CellComplex:
     """
     verts = sorted(set(vertices), key=lambda v: v.sort_key())
     index = {v: k for k, v in enumerate(verts)}
-    _check_cell_level(level)
+    check_level(level, max((v.n for v in verts), default=1))
     cells = tuple(Cell(v, level) for v in verts)
-    if any(v.n > 1 for v in verts):
-        _check_level(level)
     edges = []
     reached = set()
     dangling = []
@@ -312,12 +313,11 @@ def integral_generators(n: int, i: int):
     return out
 
 
-def saturation_check(n: int, i: int, a_max: int | None = None) -> bool:
+def saturation_check(n: int, i: int) -> bool:
     """Brute force: the monoid generated by (1,0) and integral_generators
     covers every (a, b) with a(n-i) >= bn inside a box."""
     gens = [(1, 0)] + integral_generators(n, i)
-    if a_max is None:
-        a_max = 2 * max(e for e, _ in gens) + n
+    a_max = 2 * max(e for e, _ in gens) + n
     b_max = (a_max * (n - i)) // n + 1
     reach = [[False] * (b_max + 1) for _ in range(a_max + 1)]
     reach[0][0] = True

@@ -14,12 +14,14 @@ refuses n < 1, one with an integer `--q` a q that is not a prime power,
 one with a `--p` a p that is not prime, and `hecke reduce` a negative
 `--budget`; `building` and `cells complex` refuse a radius whose ball
 and out-edges may need more than `building.BALL_WORK_BUDGET` neighbour
-lattices, `periods` a depth past the budgets of `periods.check_budget`,
-and `witt selftest` a (max-n, q) past `wittlab.SELFTEST_MAX_Q`; all before
-any work starts.  So is an `--out` path whose directory is missing or that
-names a directory; one that still cannot be written exits 1 after the
-work.  The `--out` file is opened only once the output is complete, so a
-failed run leaves it as it was.
+lattices, `cells complex` a level its cells cannot glue at
+(`cells.check_level`), `periods` a depth past the budgets of
+`periods.check_budget`, and `witt selftest` any `--q` entry that is not
+a prime power and a (max-n, q) past `wittlab.SELFTEST_MAX_Q`; all before
+any work starts.  So is an `--out` path whose directory is missing or
+that names a directory; one that still cannot be written exits 1 after
+the work.  The `--out` file is opened only once the output is complete,
+so a failed run leaves it as it was.
 """
 
 from __future__ import annotations
@@ -241,6 +243,7 @@ def cmd_building(args) -> int:
 
 
 def cmd_cells_complex(args) -> int:
+    cells.check_level(args.level, args.n)
     verts = building.ball(building.standard_vertex(args.p, args.n), args.radius)
     if args.lift:
         verts = list(verts) + [building.descent(v) for v in verts]

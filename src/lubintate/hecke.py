@@ -124,11 +124,8 @@ def canonical_quotient(poly: NewtonPolygon, i: int) -> IsogenyStep:
             pairs.append((r * qi, (w * m_b) // qi))
 
     values = tuple(sorted(sum_terms(pairs).items(), key=lambda t: t[0], reverse=True))
+    # NewtonPolygon refuses an image profile whose total mass is not 1
     new_poly = _polygon_from_value_multiset(n, q, values)
-    # conservation: the image profile carries total mass 1 by construction
-    mass = sum(v * m for v, m in values)
-    if mass != 1:
-        raise RuntimeError(f"isogeny step image carries mass {mass}, not 1")
     return IsogenyStep(i, poly, new_poly, tuple(kernel), values)
 
 

@@ -65,32 +65,20 @@ def check_budget(n: int, q: int, depth: int, cf2: bool = False) -> None:
                          f"{CF2_CAP_BUDGET}, got depth = {depth} and q = {q}")
 
 
-def default_coeff_ring(p: int = 2, N: int = 16) -> RamifiedRing:
-    """Unramified coefficient ring; pi = p at desk scale."""
-    return RamifiedRing(p, 1, N)
-
-
 def _ring_for(ring: RamifiedRing | None, q: int) -> RamifiedRing:
-    """Default coefficient ring at the prime dividing q."""
+    """ring, checked against the prime dividing q; by default the unramified
+    ring at that prime to 16 digits (pi = p at desk scale)."""
     p, _ = prime_power_split(q)
     if ring is None:
-        return default_coeff_ring(p)
+        return RamifiedRing(p, 1, 16)
     if ring.p != p:
         raise ValueError(f"q = {q} is not a power of the ring prime {ring.p}")
     return ring
 
 
-@dataclass(frozen=True)
-class DisplayMatrices:
-    """Structure matrix A of the display and its constant part B (A at x = 0)."""
-
-    A: SeriesMatrix
-    B: SeriesMatrix
-
-
-def display_matrices(n: int, q: int, cap: int, ring: RamifiedRing | None = None) -> DisplayMatrices:
+def display_matrix(n: int, cap: int, ring: RamifiedRing) -> SeriesMatrix:
+    """Structure matrix A of the display, its series capped at x^cap."""
     _check_shape(n)
-    ring = _ring_for(ring, q)
     nv = n - 1
     zero = TruncSeries.zero(ring, nv, cap)
     one = TruncSeries.one(ring, nv, cap)
@@ -100,19 +88,14 @@ def display_matrices(n: int, q: int, cap: int, ring: RamifiedRing | None = None)
         return TruncSeries.variable(ring, nv, cap, i)
 
     A = [[zero for _ in range(n)] for _ in range(n)]
-    B = [[zero for _ in range(n)] for _ in range(n)]
-
     A[0][0] = x(1)
     for j in range(1, n - 1):
         A[0][j] = pi * x(j + 1)
     A[0][n - 1] = pi
-    B[0][n - 1] = pi
     A[1][0] = one
-    B[1][0] = one
     for i in range(2, n):
         A[i][i - 1] = pi
-        B[i][i - 1] = pi
-    return DisplayMatrices(SeriesMatrix(A), SeriesMatrix(B))
+    return SeriesMatrix(A)
 
 
 def b_inverse(n: int, cap: int, ring: RamifiedRing) -> SeriesMatrix:
@@ -147,8 +130,7 @@ class PeriodTuple:
         }
 
 
-def period_series(n: int, q: int, depth: int, cap: int | None = None,
-                  ring: RamifiedRing | None = None) -> PeriodTuple:
+def period_series(n: int, q: int, depth: int, ring: RamifiedRing | None = None) -> PeriodTuple:
     """Period tuple by the one-row recurrence.
 
     Step k (b = k mod n) right-multiplies the row by B^b C^(sigma^k) B^(-b),
@@ -158,7 +140,7 @@ def period_series(n: int, q: int, depth: int, cap: int | None = None,
     """
     _check_shape(n, depth)
     ring = _ring_for(ring, q)
-    cap = cap if cap is not None else max(q ** depth, 1)
+    cap = max(q ** depth, 1)
     nv = n - 1
     f = [TruncSeries.one(ring, nv, cap)] + [
         TruncSeries.zero(ring, nv, cap) for _ in range(n - 1)
@@ -179,17 +161,16 @@ def period_series(n: int, q: int, depth: int, cap: int | None = None,
     return PeriodTuple(n, q, depth, cap, tuple(f))
 
 
-def period_series_product(n: int, q: int, depth: int, cap: int | None = None,
-                          ring: RamifiedRing | None = None) -> PeriodTuple:
+def period_series_product(n: int, q: int, depth: int) -> PeriodTuple:
     """Oracle: first row of A A^(sigma) ... A^(sigma^(depth-1)) B^(-depth)."""
     _check_shape(n, depth)
-    ring = _ring_for(ring, q)
-    cap = cap if cap is not None else max(q ** depth, 1)
-    disp = display_matrices(n, q, cap, ring)
+    ring = _ring_for(None, q)
+    cap = max(q ** depth, 1)
+    A = display_matrix(n, cap, ring)
     one, zero = TruncSeries.one(ring, n - 1, cap), TruncSeries.zero(ring, n - 1, cap)
     M = SeriesMatrix([[one] + [zero] * (n - 1)])
     for j in range(depth):
-        M = M * disp.A.frobenius_twist(q, j)
+        M = M * A.frobenius_twist(q, j)
     if depth:
         # B^(-depth) as a constant matrix first: one row product, not depth of them
         M = M * reduce(mul, [b_inverse(n, cap, ring)] * depth)
@@ -255,7 +236,7 @@ def period_cf2(q: int, depth: int, cap: int | None = None,
     return CF2Value(h * unit.inverse(), -d)
 
 
-def cf2_convention(q: int, depth: int = 1, ring: RamifiedRing | None = None) -> str:
+def cf2_convention(q: int, depth: int) -> str:
     """Which normalization of the period ratio the continued fraction computes.
 
     Cross-multiplies the convergent h/k against pi*f_0/f_1 and f_1/f_0 from
@@ -264,7 +245,7 @@ def cf2_convention(q: int, depth: int = 1, ring: RamifiedRing | None = None) -> 
     """
     if depth < 1:
         raise ValueError("convention check needs depth >= 1")
-    ring = _ring_for(ring, q)
+    ring = _ring_for(None, q)
     h, k, pt = _guarded_cf2(q, depth, 2 * depth, ring)
     f0, f1 = pt.f
     if _cf2_matches(h, k, f0.mul_pi_power(1), f1, ring.N):
@@ -319,7 +300,7 @@ def _guarded_cf2(q, depth, pt_depth, ring):
     return h, k, pt
 
 
-def cf2_cross_check(q: int, depth: int, ring: RamifiedRing | None = None) -> bool:
+def cf2_cross_check(q: int, depth: int) -> bool:
     """h * f_1 = pi * f_0 * k for the convergent h/k, to the ring's precision.
 
     Both sides are evaluated at cap q^depth with the guard digits of
@@ -327,7 +308,7 @@ def cf2_cross_check(q: int, depth: int, ring: RamifiedRing | None = None) -> boo
     """
     if depth < 1:
         raise ValueError("cross check needs depth >= 1")
-    ring = _ring_for(ring, q)
+    ring = _ring_for(None, q)
     h, k, pt = _guarded_cf2(q, depth, depth, ring)
     return _cf2_matches(h, k, pt.f[0].mul_pi_power(1), pt.f[1], ring.N)
 

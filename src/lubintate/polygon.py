@@ -246,10 +246,11 @@ def torsion_valuations(poly: NewtonPolygon, k: int):
 # rendering
 # ---------------------------------------------------------------------
 
-def render_ascii(poly: NewtonPolygon, width: int = 61, height: int = 21) -> str:
+def render_ascii(poly: NewtonPolygon) -> str:
     """Character plot in log_q abscissa; '*' hull, '.' boundary polygon,
     '#' where they coincide."""
     bound = gh_boundary_polygon(poly.n, poly.q)
+    width, height = 61, 21
     grid = [[" "] * width for _ in range(height)]
 
     def plot(p, ch):

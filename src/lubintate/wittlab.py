@@ -62,7 +62,10 @@ SELFTEST_MAX_Q = {1: 2 ** 20, 2: 256, 3: 13, 4: 4, 5: 2}
 
 
 def check_selftest_budget(max_n: int, qs) -> None:
-    """Refuse, before any law is solved, a selftest past SELFTEST_MAX_Q."""
+    """Refuse, before any law is solved, a q that is not a prime power and a
+    selftest past SELFTEST_MAX_Q."""
+    for q in qs:
+        prime_power_split(q)
     if max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {max_n}")
     top = SELFTEST_MAX_Q.get(max_n)
@@ -141,8 +144,9 @@ def witt_structure_polys(N: int, q: int) -> WittLaw:
 
 
 def _integral(R: Ring, poly: dict, p: int) -> bool:
+    poles = {t: c for t, c in poly.items() if t < 0}   # a key < 0 has pi exponent < 0
     for e in RAM_INDICES:
-        M, slots = _fold(R, poly, p, e)
+        M, slots = _fold(R, poles, p, e)
         if M and any(a % p ** M for a in slots.values()):   # some v_p(a) < M
             return False
     return True
@@ -159,7 +163,9 @@ def check_o_integrality(law: WittLaw) -> tuple:
     integer slots a with value (a / p^M) * pi^r, 0 <= r < e.  No
     cancellation hides across slots, since their pi-exponents differ
     mod e, so integrality means e * v_p(a / p^M) + r >= 0 for every slot;
-    as 0 <= r < e that is v_p(a) >= M.
+    as 0 <= r < e that is v_p(a) >= M.  Only the terms with a pole are
+    folded: one of pi exponent k >= 0 has m >= 0 for every e, so it adds a
+    multiple of p^M to its slot and changes neither M nor that verdict.
     """
     return tuple(all(_integral(law.poly_ring, poly, law.p) for poly in polys)
                  for polys in zip(law.sum_polys, law.prod_polys, law.frob_polys))

@@ -14,6 +14,7 @@ from lubintate.cells import (
     GluedEdge,
     LevelError,
     assemble_complex,
+    check_level,
     cocycle_check,
     full_flags,
     glue_edge,
@@ -21,7 +22,14 @@ from lubintate.cells import (
     make_cell,
     saturation_check,
 )
-from lubintate.fqlin import echelon_subspaces, kernel_basis, rref
+from lubintate.fqlin import (
+    echelon_subspaces,
+    image_rows,
+    kernel_basis,
+    mat_mul,
+    rref,
+    span_contains,
+)
 from lubintate.hecke import canonical_quotient
 from lubintate.polygon import cm_polygon, gh_boundary_polygon
 from lubintate.valuations import vp
@@ -32,6 +40,21 @@ def test_make_cell_is_vertex_and_level():
     assert make_cell(v, 2) == Cell(v, 2)
     with pytest.raises(LevelError):
         make_cell(v, 0)
+
+
+def test_one_level_rule():
+    # level >= 1 for every cell, level >= 2 once its strata glue
+    for n in (1, 2, 3):
+        for level in (-1, 0):
+            with pytest.raises(LevelError, match=r"^cells require principal level >= 1$"):
+                check_level(level, n)
+        check_level(2, n)
+    check_level(1, 1)
+    with pytest.raises(LevelError, match=r"^level 1 too coarse: .* fails by p\^1$"):
+        check_level(1, 2)
+    # a cell is made at level 1 and a rank-1 complex assembled there
+    make_cell(standard_vertex(2, 3), 1)
+    assert len(assemble_complex([standard_vertex(2, 1)], level=1).cells) == 1
 
 
 def test_full_flags_count():
@@ -195,6 +218,67 @@ def test_cocycle_holds_and_corruption_breaks_it():
         assert not cocycle_check(cell, inner, outer, corruption=corr)
     with pytest.raises(ValueError, match="inside"):
         cocycle_check(cell, outer, inner)
+
+
+@pytest.mark.parametrize("corruption", [
+    ((1, 1, 0), (1, 1, 0), (0, 0, 1)),    # singular
+    ((0, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 1, 0)),               # not square
+])
+def test_cocycle_refuses_a_corruption_that_is_not_invertible(corruption):
+    cell = make_cell(standard_vertex(2, 3), 2)
+    with pytest.raises(ValueError, match="invertible"):
+        cocycle_check(cell, ((1, 0, 0),), ((1, 0, 0), (0, 1, 0)), corruption=corruption)
+
+
+def _cocycle_check_with_every_test(cell, inner, outer, corruption=None):
+    """The cocycle check with its rank, kernel and image tests of the composite:
+    the oracle for cocycle_check, which decides on the kernel and the matrix."""
+    p = cell.vertex.p
+    inner_r = rref(inner, p)[0]
+    outer_r = rref(outer, p)[0]
+    if inner_r == outer_r:
+        return True
+    direct_cell, direct_star, direct_T = glue_edge(cell, outer_r)
+    mid_cell, mid_star, relabel = glue_edge(cell, inner_r)
+    if corruption is not None:
+        relabel = mat_mul(corruption, relabel, p)
+    mid_sub = image_rows(relabel, outer_r, p)
+    if len(mid_sub) != len(outer_r) - len(inner_r):
+        return False
+    if not span_contains(mid_star, mid_sub, p):
+        return False
+    far_cell, _, step2_T = glue_edge(mid_cell, mid_sub)
+    if far_cell.vertex != direct_cell.vertex:
+        return False
+    composite = mat_mul(step2_T, relabel, p)
+    if kernel_basis(composite, p) != outer_r:
+        return False
+    if rref([tuple(row) for row in zip(*composite)], p)[0] != direct_star:
+        return False
+    return composite == direct_T
+
+
+def _invertible(p, n, data):
+    """A random invertible n x n matrix mod p, as P L U: every one has that form."""
+    entry = st.integers(0, p - 1)
+    L = [[1 if i == j else data.draw(entry) if j < i else 0 for j in range(n)] for i in range(n)]
+    U = [[data.draw(st.integers(1, p - 1)) if i == j else data.draw(entry) if j > i else 0
+          for j in range(n)] for i in range(n)]
+    perm = data.draw(st.permutations(range(n)))
+    return tuple(mat_mul([L[k] for k in perm], U, p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from((2, 3)), data=st.data())
+def test_cocycle_check_matches_the_check_with_every_test(p, data):
+    n = 3
+    cell = make_cell(_random_vertex(p, n, data), 2)
+    inner, outer = data.draw(st.sampled_from(full_flags(cell)))
+    corruption = _invertible(p, n, data) if data.draw(st.booleans()) else None
+    verdict = cocycle_check(cell, inner, outer, corruption)
+    event(f"verdict {verdict}")
+    assert verdict == _cocycle_check_with_every_test(cell, inner, outer, corruption)
 
 
 def test_assemble_complex_counts():

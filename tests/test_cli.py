@@ -289,13 +289,26 @@ def test_bad_q_p_or_budget_exits_one_before_any_work(capsys, monkeypatch, argv, 
     assert captured.err == f"error: {err}\n"
 
 
-def test_cells_level_one_exits_one(capsys):
+def test_cells_level_one_exits_one(capsys, monkeypatch):
     # every stratum of the single radius-0 cell dangles; the level still fails
     code = main(["cells", "complex", "--n", "3", "--p", "2", "--radius", "0",
                  "--level", "1"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: level 1 too coarse: stabilizer condition fails by p^1\n"
+
+    # and before any ball is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ball was built")
+
+    monkeypatch.setattr(building, "ball", refuse)
+    for argv, err in ((["--n", "4", "--p", "2", "--radius", "2", "--level", "1"],
+                       "level 1 too coarse: stabilizer condition fails by p^1"),
+                      (["--n", "1", "--p", "3", "--radius", "1", "--level", "0"],
+                       "cells require principal level >= 1")):
+        assert main(["cells", "complex", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {err}\n"
 
 
 def test_closed_pipe_exits_quietly():
@@ -333,6 +346,20 @@ def test_oversized_witt_selftest_exits_one_before_any_solve(capsys, monkeypatch,
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: witt selftest")
+
+
+@pytest.mark.parametrize("max_n, q, bad", [
+    ("3", "13,12", "12"), ("2", "2,3,6", "6"), ("1", "4,10", "10"),
+])
+def test_witt_selftest_refuses_a_bad_q_entry_before_any_solve(capsys, monkeypatch, max_n, q, bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a law was solved")
+
+    monkeypatch.setattr(wittlab, "witt_structure_polys", refuse)
+    code = main(["witt", "selftest", "--max-n", max_n, "--q", q])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {bad} is not a prime power\n"
 
 
 @pytest.mark.parametrize("max_n, qs", [

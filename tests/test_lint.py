@@ -1,10 +1,23 @@
 """Source rules for src/: no assert (python -O strips it), no unused imports,
-no hand-rolled sparse sums and no indented json.dump(s)."""
+no hand-rolled sparse sums and no indented json.dump(s).  The tests keep
+the unused-import rule only: their oracles use the other three freely."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+
+def unused_imports(path: Path, tree: ast.Module):
+    """A `path:line: unused import name` string for each module-level import
+    whose name the module never reads."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path}:{node.lineno}: unused import {alias.asname or alias.name}"
+            for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+            if (alias.asname or alias.name).split(".")[0] not in used]
 
 
 def lint(path: Path, text: str):
@@ -28,19 +41,21 @@ def lint(path: Path, text: str):
             and any(kw.arg == "indent" for kw in node.keywords)]
     if path.name == "__init__.py":  # imports there are the package's exports
         return bad
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    bad += [f"{path}:{node.lineno}: unused import {alias.asname or alias.name}"
-            for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
-            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
-            for alias in node.names
-            if (alias.asname or alias.name).split(".")[0] not in used]
-    return bad
+    return bad + unused_imports(path, tree)
 
 
 def test_src_follows_lint_rules():
     paths = sorted(SRC.rglob("*.py"))
     assert paths
     bad = [line for path in paths for line in lint(path.relative_to(SRC.parent), path.read_text())]
+    assert not bad, "\n".join(bad)
+
+
+def test_tests_import_nothing_unused():
+    paths = sorted(TESTS.glob("*.py"))
+    assert paths
+    bad = [line for path in paths
+           for line in unused_imports(path.relative_to(SRC.parent), ast.parse(path.read_text()))]
     assert not bad, "\n".join(bad)
 
 

@@ -10,15 +10,14 @@ from lubintate import periods
 from lubintate.periods import (
     b_inverse,
     cf2_convention,
-    default_coeff_ring,
-    display_matrices,
+    display_matrix,
     evaluate_periods,
     period_series,
     period_series_product,
 )
 from lubintate.polygon import vals_in_H
 from lubintate.series import SeriesMatrix, TruncSeries
-from lubintate.valuations import INF, LaurentCoeff, RamifiedRing, Val, prime_power_split
+from lubintate.valuations import INF, LaurentCoeff, RamifiedRing, Val
 
 
 def test_recurrence_equals_matrix_product():
@@ -32,13 +31,13 @@ def test_recurrence_equals_matrix_product():
 
 def depth_fold_product(n, q, depth):
     """The product oracle multiplying the row by B^(-1) once per level."""
-    ring = default_coeff_ring(prime_power_split(q)[0])
+    ring = periods._ring_for(None, q)
     cap = max(q ** depth, 1)
-    disp = display_matrices(n, q, cap, ring)
+    A = display_matrix(n, cap, ring)
     one, zero = TruncSeries.one(ring, n - 1, cap), TruncSeries.zero(ring, n - 1, cap)
     M = SeriesMatrix([[one] + [zero] * (n - 1)])
     for j in range(depth):
-        M = M * disp.A.frobenius_twist(q, j)
+        M = M * A.frobenius_twist(q, j)
     Binv = b_inverse(n, cap, ring)
     for _ in range(depth):
         M = M * Binv
@@ -85,9 +84,9 @@ def test_depth0_is_the_seed():
 def test_deeper_rows_refine_not_rewrite():
     # depth d+1 agrees with depth d below the old cap
     shallow = period_series(2, 2, 2)
-    deep = period_series(2, 2, 3, cap=shallow.cap)
-    assert shallow.f[0] == deep.f[0]
-    assert shallow.f[1] == deep.f[1]
+    deep = period_series(2, 2, 3)
+    for old, new in zip(shallow.f, deep.f):
+        assert TruncSeries(new.ring, new.nvars, shallow.cap, new.coeffs) == old
 
 
 def test_cf2_cross_multiplication():
@@ -107,8 +106,8 @@ def test_cf2_cross_check_rejects_depth_zero():
 
 
 def test_cf2_convention_label():
-    assert cf2_convention(2) == "pi*f0/f1"
-    assert cf2_convention(3) == "pi*f0/f1"
+    assert cf2_convention(2, 1) == "pi*f0/f1"
+    assert cf2_convention(3, 1) == "pi*f0/f1"
 
 
 def cf2_label_by_division(cf, pt, N):
@@ -181,12 +180,15 @@ def test_cf2_guard_covers_the_pi_span(q, depth, pt_depth):
 
 
 def test_b_inverse_is_inverse():
-    R = default_coeff_ring()
+    R = RamifiedRing(2, 1, 16)
     cap = 8
-    mats = periods.display_matrices(2, 2, cap, ring=R)
-    binv = b_inverse(2, cap, ring=R)
-    one, zero = TruncSeries.one(R, 1, cap), TruncSeries.zero(R, 1, cap)
-    assert mats.B * binv == SeriesMatrix([[one, zero], [zero, one]])
+    for n in (2, 3, 4):
+        # B is A at x = 0: the constant term of every entry of A
+        B = SeriesMatrix([[TruncSeries(R, n - 1, cap, {(0,) * (n - 1): a.constant_term()})
+                           for a in row] for row in display_matrix(n, cap, R).entries])
+        one, zero = TruncSeries.one(R, n - 1, cap), TruncSeries.zero(R, n - 1, cap)
+        identity = SeriesMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+        assert B * b_inverse(n, cap, R) == identity, n
 
 
 def test_evaluate_periods_exact_when_precision_suffices():

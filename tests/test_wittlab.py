@@ -416,6 +416,23 @@ def test_integer_fold_agrees_with_fraction_fold(q, N, family, i, mono, c, k):
     assert check_o_integrality(bent)[:i] == (True,) * i      # components below i are untouched
 
 
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from((2, 3, 4)), N=st.integers(1, 3),
+       family=st.sampled_from(("sum_polys", "prod_polys", "frob_polys")), i=st.integers(0, 2),
+       pole=st.one_of(st.none(), st.tuples(monomials, st.integers(-12, 12).filter(bool),
+                                           st.integers(-4, -1))),
+       mono=monomials, c=st.integers(-12, 12).filter(bool), k=st.integers(0, 4))
+def test_terms_without_a_pole_never_change_the_integrality_verdict(q, N, family, i, pole,
+                                                                    mono, c, k):
+    # check_o_integrality folds only the terms of negative pi exponent
+    law = _law(N, q)
+    i %= N
+    if pole is not None:            # a law that may fail at component i
+        law = _perturbed(law, family, i, *pole)
+    bent = _perturbed(law, family, i, mono, c, k)
+    assert check_o_integrality(bent) == check_o_integrality(law) == _integral_by_fractions(bent)
+
+
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(-5, 5), mono=monomials, n=st.integers(1, 12),
        c=st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12)).filter(bool))
