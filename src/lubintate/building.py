@@ -248,7 +248,8 @@ def _hermite_tail(p: int, cols, exps, k: int) -> Lattice:
 def out_edges(a: BuildingVertex):
     """Edges a' -> a: classes of p*Lambda + W for proper nonzero W in Lambda/p.
 
-    Returns (a', i) with i = dim(Lambda / Lambda') = n - dim W and h' = h - i.
+    Returns (a', i) with i = dim(Lambda / Lambda') = n - dim W and h' = h - i,
+    one pair per W in the order of proper_subspaces(n, p).
     """
     lat, n = a.lat, a.n
     return [(make_vertex(neighbour(lat, rows), a.h - n + d), n - d)
@@ -282,6 +283,17 @@ def ball(a: BuildingVertex, radius: int):
     S^radius) neighbour lattices.  A radius whose work bound exceeds
     BALL_WORK_BUDGET is refused before the search starts, radius 0 included.
     """
+    return sorted(_walk(a, radius), key=BuildingVertex.sort_key)
+
+
+def ball_edges(a: BuildingVertex, radius: int):
+    """{v: out_edges(v)} over ball(a, radius), in its order, reusing the walk's lists."""
+    walked = _walk(a, radius)
+    return {v: walked[v] or out_edges(v) for v in sorted(walked, key=BuildingVertex.sort_key)}
+
+
+def _walk(a: BuildingVertex, radius: int):
+    """The ball as {v: out_edges(v) inside the radius, None on its outer shell}."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     strata = sum(gaussian_binomial(a.n, d, a.p) for d in range(1, a.n))
@@ -297,17 +309,18 @@ def ball(a: BuildingVertex, radius: int):
             f"a radius-{radius} ball at n = {a.n}, p = {a.p} and its out-edges may need more "
             f"than {BALL_WORK_BUDGET} neighbour lattices (S (1 + S + ... + S^{radius}), S = {strata})"
         )
-    seen = {a}
+    seen = {a: None}
     frontier = [a]
     for _ in range(radius):
         nxt = []
         for v in frontier:
-            for w, _ in out_edges(v):
+            seen[v] = out_edges(v)
+            for w, _ in seen[v]:
                 if w not in seen:
-                    seen.add(w)
+                    seen[w] = None
                     nxt.append(w)
         frontier = nxt
-    return sorted(seen, key=lambda v: v.sort_key())
+    return seen
 
 
 def to_dot(vertices, edges) -> str:

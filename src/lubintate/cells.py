@@ -10,13 +10,12 @@ pi^(-1)Lambda/Lambda, held as its reduced row-echelon basis over F_p
 Lambda = p^(-k) H is the vertex's Hermite form); its rank is len(E).
 Gluing a stratum crosses to the vertex of the preimage lattice p^(-1)(E);
 the matched stratum on the far side is the image of pi^(-1)Lambda, and
-gluing twice is the identity on strata.
-
-The transition matrix of a glue step is the honest mod-p coordinate map
-between the two pi-quotients, read off integer back substitution in the
-two Hermite forms; composing transitions along a 2-simplex and comparing
-against the direct glue is the cocycle check.  All of it is exact F_p
-linear algebra on canonical echelon forms.
+gluing twice is the identity on strata, so assemble_complex finds it as the
+far stratum whose out-edge leads back.  Only glue_edge computes the
+transition matrix T, the mod-p coordinate map between the two
+pi-quotients, read off integer back substitution in the two Hermite forms;
+composing transitions along a 2-simplex and comparing against the direct
+glue is the cocycle check.  All of it is exact F_p linear algebra.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from .building import (
     BuildingVertex,
     make_vertex,
     neighbour,
+    out_edges,
     proper_subspaces,
 )
 from .fqlin import (
@@ -114,37 +114,32 @@ def _image_with_kernel(T, E, p: int):
     return star
 
 
-def _transition(lat, far, E):
-    """T = B'^(-1) B mod p into far = Lambda + p^(-1) E, with kernel E, and T's image.
-
-    E must be a reduced row-echelon basis; glue_edge refuses any other.
-    """
-    T = _mod_p_matrix([far.solve_coords(col, lat.k) for col in lat.H], lat.p)
-    return T, _image_with_kernel(T, E, lat.p)
-
-
 def glue_edge(cell: Cell, E: tuple):
     """Cross the stratum E of cell: (far cell, matched far stratum, transition T).
 
-    T is the n x n mod-p matrix, rows over F_p, with kernel span E.  The far
-    lattice is Lambda' = Lambda + p^(-1) E; the congruence level m must
-    satisfy p^m End(Lambda) c p End(Lambda') (two-sided stabilizer
-    condition).  It fails by p^(1 - m - a - b), a and b the least valuations
-    of the coordinates of Lambda in Lambda' and of Lambda' in Lambda.  As
-    Lambda < Lambda' < p^(-1) Lambda strictly, a = 0 and b = -1 for every
-    proper stratum, so the condition is m >= 2: assemble_complex checks it once.
+    T = B'^(-1) B mod p is the n x n mod-p matrix, rows over F_p, with kernel
+    span E, and the matched stratum is its image.  Only this function
+    computes T; assemble_complex finds the same stratum by the involution.
+    E must be a reduced row-echelon basis.  The far lattice is Lambda' =
+    Lambda + p^(-1) E; the congruence level m must satisfy p^m End(Lambda) c
+    p End(Lambda') (two-sided stabilizer condition).  It fails by
+    p^(1 - m - a - b), a and b the least valuations of the coordinates of
+    Lambda in Lambda' and of Lambda' in Lambda.  As Lambda < Lambda' <
+    p^(-1) Lambda strictly, a = 0 and b = -1 for every proper stratum, so
+    the condition is m >= 2: assemble_complex checks it once.
 
     The far cell needs no boundary polygon of its own because the rank-len(E)
     canonical quotient fixes gh_boundary_polygon(n, p); that is checked here,
     and it refuses ranks 0 and n.
     """
-    vtx = cell.vertex
+    vtx, lat, p = cell.vertex, cell.vertex.lat, cell.vertex.p
     check_level(cell.level, vtx.n)
-    far = neighbour(vtx.lat, E).scale(-1)
-    T, star = _transition(vtx.lat, far, E)
-    if rref(E, vtx.p)[0] != E:  # _transition takes only RREF bases
+    far = neighbour(lat, E).scale(-1)
+    T = _mod_p_matrix([far.solve_coords(col, lat.k) for col in lat.H], p)
+    star = _image_with_kernel(T, E, p)
+    if rref(E, p)[0] != E:  # the kernel test holds only for RREF bases
         raise ArithmeticError("transition kernel does not match the stratum")
-    bound = gh_boundary_polygon(vtx.n, vtx.p)
+    bound = gh_boundary_polygon(vtx.n, p)
     if canonical_quotient(bound, len(E)).image != bound:
         raise ArithmeticError(f"the rank-{len(E)} canonical quotient moves the boundary polygon")
     return Cell(make_vertex(far, vtx.h + len(E)), cell.level), star, T
@@ -263,29 +258,32 @@ def assemble_complex(vertices, level: int = 2) -> CellComplex:
     """Cells over an explicit vertex set, glued along strata joining them.
 
     Each unordered glued pair of boundary strata contributes one edge.
-    A stratum E whose far vertex [Lambda + p^(-1) E, h + rank] falls outside
-    the set is dangling and not glued; one reached by an earlier glue is
-    skipped, since gluing is an involution.  No far cell is built and no
-    polygon: a cell is its vertex and level.
+    A stratum E whose out-edge vertex (glue_edge's far vertex) falls outside
+    the set is dangling; by the involution, E's matched stratum is the far
+    stratum whose out-edge leads back, an ArithmeticError if none does.  No
+    T, far cell or polygon is built: a cell is its vertex and level.
     """
     verts = sorted(set(vertices), key=lambda v: v.sort_key())
     index = {v: k for k, v in enumerate(verts)}
     check_level(level, max((v.n for v in verts), default=1))
     cells = tuple(Cell(v, level) for v in verts)
     edges = []
-    reached = set()
     dangling = []
+    waiting = {}  # (ci, cj) -> the stratum of cell ci < cj leading to cj, until cj's comes
     for ci, vtx in enumerate(verts):
-        lat, n = vtx.lat, vtx.n
-        for rank, E in proper_subspaces(n, vtx.p):
-            far = neighbour(lat, E).scale(-1)
-            cj = index.get(make_vertex(far, vtx.h + rank))
+        for (rank, E), (far, _) in zip(proper_subspaces(vtx.n, vtx.p), out_edges(vtx)):
+            cj = index.get(far)
             if cj is None:
                 dangling.append((ci, rank, E))
-            elif (ci, E) not in reached:
-                star = _transition(lat, far, E)[1]
-                reached.add((cj, star))
-                edges.append(GluedEdge(ci, E, cj, star, min(rank, n - rank)))
+            elif ci < cj:
+                if waiting.setdefault((ci, cj), E) is not E:
+                    raise ArithmeticError(f"two strata of cell {ci} lead to cell {cj}")
+            elif (cj, ci) in waiting:
+                edges.append(GluedEdge(cj, waiting.pop((cj, ci)), ci, E, min(rank, vtx.n - rank)))
+            else:
+                raise ArithmeticError(f"a stratum of cell {ci} leads to cell {cj}, not back")
+    if waiting:
+        raise ArithmeticError(f"{len(waiting)} glued strata have no stratum leading back")
     ordered = tuple(sorted(edges, key=lambda e: (e.cell_a, e.cell_b, e.subspace_a)))
     return CellComplex(level, cells, ordered, tuple(dangling))
 

@@ -38,15 +38,16 @@ from . import building, cells, hecke, periods, polygon, wittlab
 from .valuations import _is_prime, frac_json, prime_power_split
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse(kind, text: str, what: str):
+    """kind(text), or a ValueError naming the bad `what` entry."""
     try:
-        return Fraction(text.strip())
+        return kind(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}") from exc
+        raise ValueError(f"bad {what} {text!r}") from exc
 
 
 def _parse_vals(text: str):
-    return [_parse_rational(piece) for piece in text.split(",")]
+    return [_parse(Fraction, piece, "rational") for piece in text.split(",")]
 
 
 def _value_mult_list(pairs):
@@ -216,28 +217,16 @@ def cmd_hecke_reduce(args) -> int:
     return 0
 
 
-def _ball_with_edges(n: int, p: int, radius: int):
-    verts = building.ball(building.standard_vertex(p, n), radius)
-    members = set(verts)
-    edges = []
-    for v in verts:
-        for w, i in building.out_edges(v):
-            if w in members:
-                edges.append((v, w, i))
-    return verts, edges
-
-
 def cmd_building(args) -> int:
-    verts, edges = _ball_with_edges(args.n, args.p, args.radius)
+    lists = building.ball_edges(building.standard_vertex(args.p, args.n), args.radius)
+    edges = [(v, w, i) for v, out in lists.items() for w, i in out if w in lists]
     if args.format == "dot":
-        _emit(args, building.to_dot(verts, edges))
+        _emit(args, building.to_dot(lists, edges))
     else:
-        index = {v: k for k, v in enumerate(verts)}
+        index = {v: k for k, v in enumerate(lists)}
         _dump(args, {
-            "vertices": [v.json_dict() for v in verts],
-            "edges": sorted(
-                [index[a], index[b], i] for a, b, i in edges
-            ),
+            "vertices": [v.json_dict() for v in lists],
+            "edges": sorted([index[a], index[b], i] for a, b, i in edges),
         })
     return 0
 
@@ -305,7 +294,7 @@ def _witt_checks(laws):
 
 
 def cmd_witt_selftest(args) -> int:
-    qs = [int(x) for x in args.q.split(",")]
+    qs = [_parse(int, x, "--q entry") for x in args.q.split(",")]
     wittlab.check_selftest_budget(args.max_n, qs)
     laws = [wittlab.witt_structure_polys(args.max_n, q) for q in qs]
     lines, code = _report(_witt_checks(laws))

@@ -13,6 +13,7 @@ from lubintate.building import (
     Lattice,
     act,
     ball,
+    ball_edges,
     descent,
     make_vertex,
     neighbour,
@@ -206,6 +207,14 @@ def test_ball_sizes():
     assert [len(ball(a2, r)) for r in (0, 1, 2)] == [1, 4, 10]
     # deterministic ordering
     assert ball(a3, 1) == ball(a3, 1)
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 3), (2, 2, 4), (3, 2, 2), (2, 5, 0), (1, 3, 2)])
+def test_ball_edges_are_the_out_edges_of_the_ball(n, p, radius):
+    a = standard_vertex(p, n)
+    lists = ball_edges(a, radius)
+    assert list(lists) == ball(a, radius)
+    assert lists == {v: out_edges(v) for v in ball(a, radius)}
 
 
 def test_descent_is_central_uniformizer():

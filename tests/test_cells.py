@@ -6,8 +6,16 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from lubintate import cells
-from lubintate.building import act, ball, descent, neighbour, out_edges, standard_vertex
+from lubintate import building, cells
+from lubintate.building import (
+    act,
+    ball,
+    descent,
+    neighbour,
+    out_edges,
+    proper_subspaces,
+    standard_vertex,
+)
 from lubintate.cells import (
     Cell,
     CellComplex,
@@ -337,6 +345,9 @@ def test_complex_json_needs_one_shared_constraint():
         mixed.to_json_dict()
 
 
+ORACLE_CASES = [(3, 2, 2), (3, 3, 1), (2, 3, 2)]
+
+
 def _assemble_every_stratum(vertices, level=2):
     """The complex with the full glue_edge run on every stratum: the oracle."""
     verts = sorted(set(vertices), key=lambda v: v.sort_key())
@@ -364,12 +375,94 @@ def _assemble_every_stratum(vertices, level=2):
 
 
 @pytest.mark.parametrize("lift", [False, True])
-@pytest.mark.parametrize("n, p, radius", [(3, 2, 2), (3, 3, 1), (2, 3, 2)])
+@pytest.mark.parametrize("n, p, radius", ORACLE_CASES)
 def test_assemble_complex_matches_every_stratum_oracle(n, p, radius, lift):
     verts = ball(standard_vertex(p, n), radius)
     if lift:
         verts = list(verts) + [descent(v) for v in verts]
     assert assemble_complex(verts) == _assemble_every_stratum(verts)
+
+
+@pytest.mark.parametrize("lift", [False, True])
+@pytest.mark.parametrize("n, p, radius", ORACLE_CASES)
+def test_assemble_complex_computes_no_transition(monkeypatch, n, p, radius, lift):
+    # assembly reads the matched strata off out_edges: no T, so no back substitution
+    verts = ball(standard_vertex(p, n), radius)
+    if lift:
+        verts = list(verts) + [descent(v) for v in verts]
+    want = _assemble_every_stratum(verts)
+
+    def refuse(*args):
+        raise AssertionError("assemble_complex computed a transition")
+
+    monkeypatch.setattr(cells, "_image_with_kernel", refuse)
+    monkeypatch.setattr(building.Lattice, "solve_coords", refuse)
+    assert assemble_complex(verts) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]), data=st.data())
+def test_out_edges_are_the_glue_steps_in_stratum_order(shape, data):
+    # the premise of assemble_complex: out_edges(v) holds one distinct vertex per
+    # stratum E, in proper_subspaces order, which is glue_edge's far vertex, and the
+    # far vertex's one stratum leading back to v is glue_edge's matched stratum
+    n, p = shape
+    v = _random_vertex(p, n, data)
+    strata, out = proper_subspaces(n, p), out_edges(v)
+    assert len({w for w, _ in out}) == len(out) == len(strata)
+    cell = make_cell(v, 2)
+    for (rank, E), (w, i) in zip(strata, out):
+        far_cell, far_E, _ = glue_edge(cell, E)
+        assert (w, i) == (far_cell.vertex, n - rank)
+        back = [F for (_, F), (x, _) in zip(strata, out_edges(w)) if x == v]
+        assert back == [far_E]
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 2), (3, 2, 1), (3, 2, 2)])
+def test_assemble_complex_refuses_out_edges_that_do_not_lead_back(monkeypatch, n, p, radius):
+    # the centre answered with a neighbour's list, which leads to the centre
+    # itself, or a neighbour with the centre's, which leads to the neighbour
+    centre = standard_vertex(p, n)
+    verts = ball(centre, radius)
+    real = cells.out_edges
+    for b, _ in real(centre):
+        for x, y in ((centre, b), (b, centre)):
+            monkeypatch.setattr(cells, "out_edges", lambda v: real(y if v == x else v))
+            with pytest.raises(ArithmeticError, match="lead"):
+                assemble_complex(verts)
+
+
+@pytest.mark.parametrize("n, p, radius", [(2, 3, 2), (3, 2, 1), (3, 2, 2)])
+@pytest.mark.parametrize("redirect, message", [
+    ("out of the set", "1 glued strata have no stratum leading back"),
+    ("to an earlier cell twice", r"a stratum of cell \d+ leads to cell \d+, not back"),
+    ("to a later cell twice", r"two strata of cell \d+ lead to cell \d+"),
+])
+def test_assemble_complex_refuses_a_stratum_without_its_partner(monkeypatch, n, p, radius,
+                                                                 redirect, message):
+    # one glued stratum's out-edge sent elsewhere: the stratum leading back to it
+    # finds no partner, or a second stratum leads to one cell
+    verts = ball(standard_vertex(p, n), radius)
+    index = {v: k for k, v in enumerate(verts)}
+    real = cells.out_edges
+
+    def glued(v, later):
+        """Positions of v's strata glued to cells after v if later, else before v."""
+        return [k for k, (w, _) in enumerate(real(v)) if w in index
+                and (index[w] > index[v]) == later]
+
+    later = redirect == "to a later cell twice"
+    v = next(v for v in verts if len(glued(v, later)) >= 2)
+    k, k2 = glued(v, later)[:2]
+    out = real(v)
+    if redirect == "out of the set":
+        far = next(w for u in verts for w, _ in real(u) if w not in index)
+    else:
+        far = out[k2][0]
+    moved = out[:k] + [(far, out[k][1])] + out[k + 1:]
+    monkeypatch.setattr(cells, "out_edges", lambda u: moved if u == v else real(u))
+    with pytest.raises(ArithmeticError, match=message):
+        assemble_complex(verts)
 
 
 def test_complex_signature_is_action_invariant():

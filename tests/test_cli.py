@@ -165,6 +165,15 @@ def test_hecke_reduce_worked_example(capsys):
     assert len(d["trail"]) == 2
 
 
+def test_hecke_reduce_budget_edge(capsys):
+    # v(x_1) = 1/12 is the level-3 quasi-canonical polygon at n = 2, q = 2: three steps
+    argv = ["hecke", "reduce", "--n", "2", "--q", "2", "--vals", "1/12"]
+    assert main([*argv, "--budget", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: not in D after 2 quotients\n"
+    assert run_json(capsys, *argv, "--budget", "3")["steps"] == [1, 1, 1]
+
+
 def test_hecke_quotient(capsys):
     d = run_json(capsys, "hecke", "quotient", "--n", "2", "--q", "3",
                  "--vals", "2/5", "--rank", "1")
@@ -180,6 +189,23 @@ def test_building_ball(capsys):
     code, out = run(capsys, "building", "--n", "2", "--p", "3", "--radius", "1",
                     "--format", "dot")
     assert code == 0 and out.startswith("digraph")
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["--n", "2", "--p", "3", "--radius", "3"], 53),
+    (["--n", "2", "--p", "2", "--radius", "4"], 46),
+])
+def test_building_walks_each_out_edge_list_once(capsys, monkeypatch, argv, calls):
+    # one out_edges call per vertex: the walk's lists are reused, the outer shell's added
+    real, seen = building.out_edges, []
+
+    def counting(v):
+        seen.append(v)
+        return real(v)
+
+    monkeypatch.setattr(building, "out_edges", counting)
+    d = run_json(capsys, "building", *argv)
+    assert len(seen) == len(set(seen)) == len(d["vertices"]) == calls
 
 
 def test_cells_complex(capsys):
@@ -360,6 +386,14 @@ def test_witt_selftest_refuses_a_bad_q_entry_before_any_solve(capsys, monkeypatc
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {bad} is not a prime power\n"
+
+
+@pytest.mark.parametrize("q, bad", [("2,", "''"), ("2,three", "'three'"), ("1/2", "'1/2'")])
+def test_witt_selftest_names_an_entry_that_is_not_an_integer(capsys, q, bad):
+    code = main(["witt", "selftest", "--q", q])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: bad --q entry {bad}\n"
 
 
 @pytest.mark.parametrize("max_n, qs", [

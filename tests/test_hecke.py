@@ -257,3 +257,33 @@ def test_value_multiset_matches_block_walk_oracle(poly, data):
     assert got == _outcome(_polygon_from_value_multiset_oracle, n, q, values)
     if values == tuple(sorted(by_value.items(), reverse=True)):
         assert got == poly
+
+
+def quasi_canonical(n, q, s):
+    """The level-s quasi-canonical polygon: lambda_n = 1/((q^n - 1) q^((n-1) s)),
+    lambda_1 = ... = lambda_(n-1) fixed by the mass (Gross, Invent. Math. 84,
+    1986, at n = 2, where v(x_1) = 1/(q^(s-1) (q + 1)); its n > 2 form here is
+    this family's generalization).  Level 0 is cm_polygon(n, q, 1)."""
+    low = Fraction(1, (q ** n - 1) * q ** ((n - 1) * s))
+    high = (1 - low * (q ** n - q ** (n - 1))) / (q ** (n - 1) - 1)
+    return NewtonPolygon(n, q, [high] * (n - 1) + [low])
+
+
+QUASI_CANONICAL_SHAPES = [(n, q) for n in (2, 3, 4) for q in (2, 3, 4, 5, 7, 9) if n < 4 or q <= 5]
+
+
+@settings(max_examples=120, deadline=None)  # the grid's 80 cases, each run once
+@given(shape=st.sampled_from(QUASI_CANONICAL_SHAPES), s=st.integers(1, 5))
+def test_quasi_canonical_orbit(shape, s):
+    n, q = shape
+    poly = quasi_canonical(n, q, s)
+    step = canonical_quotient(poly, n - 1)
+    if s == 1:
+        assert step.image == cm_polygon(n, q, 1)
+    else:
+        assert step.image == quasi_canonical(n, q, s - 1)
+    res = reduce_to_domain(poly)
+    assert res.steps == (n - 1,) * s
+    assert res.trail == tuple(quasi_canonical(n, q, t) for t in range(s, -1, -1))
+    if n == 2:
+        assert poly == polygon_from_vals(2, q, [Fraction(1, q ** (s - 1) * (q + 1))])
