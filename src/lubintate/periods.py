@@ -317,6 +317,23 @@ def cf2_cross_check(q: int, depth: int) -> bool:
 # evaluation at exact points
 # ---------------------------------------------------------------------
 
+def _power_table(c, exponents) -> dict:
+    """{e: c^e} for each e in exponents (all positive), plus the gaps it used.
+
+    Walks the exponents in sorted order: each power is the previous one
+    times c^gap, and a gap power is computed (by `**`) only when no earlier
+    power has that exponent (Knuth, TAOCP vol. 2, section 4.6.3).
+    """
+    powers, prev = {}, 0
+    for e in sorted(exponents):
+        gap = e - prev
+        if gap not in powers:
+            powers[gap] = c ** gap
+        powers[e] = powers[prev] * powers[gap] if prev else powers[gap]
+        prev = e
+    return powers
+
+
 def evaluate_periods(pt: PeriodTuple, coords, point_ring: RamifiedRing):
     """Substitute exact coordinates into each f_i.
 
@@ -324,6 +341,9 @@ def evaluate_periods(pt: PeriodTuple, coords, point_ring: RamifiedRing):
     Returns a list of (Val, zero-to-precision flag) pairs.  The common power
     pi^(e_min) of each component is pulled out exactly, so a finite answer
     is exact; an all-zero digit sum reports (INF, True) rather than lying.
+    Each coordinate's powers are computed once per call, one per distinct
+    positive exponent the period tuple uses (`_power_table`); every term
+    then multiplies by table entries.
     """
     coords = list(coords)
     if len(coords) != pt.n - 1:
@@ -331,6 +351,8 @@ def evaluate_periods(pt: PeriodTuple, coords, point_ring: RamifiedRing):
     for c in coords:
         if c.ring != point_ring:
             raise ValueError("coordinates must live in point_ring")
+    tables = [_power_table(c, {exps[i] for comp in pt.f for exps in comp.coeffs} - {0})
+              for i, c in enumerate(coords)]
     out = []
     for comp in pt.f:
         if comp.is_zero:
@@ -341,11 +363,10 @@ def evaluate_periods(pt: PeriodTuple, coords, point_ring: RamifiedRing):
         for exps, coeff in comp.coeffs.items():
             term = coeff.unit.embed(point_ring)
             term = term.shift_up(point_ring.m * (coeff.pi_exp - e_min))
-            for c, e in zip(coords, exps):
+            for table, e in zip(tables, exps):
                 if e:
-                    term = term * c ** e
+                    term = term * table[e]
             total = total + term
         v = total.valuation()
         out.append((Val(e_min) + v, v.is_inf))
     return out
-

@@ -40,18 +40,68 @@ class _Infinity:
 INF = _Infinity()
 
 
-def _least_factor(q: int) -> int:
-    """Least prime factor of q >= 2, by trial division up to sqrt(q)."""
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this number, the least strong pseudoprime to all 13 (Sorenson and
+# Webster, Math. Comp. 86 (2017)); larger candidates are refused.
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _least_factor(n: int):
+    """Least prime factor of n >= 2 if it is below 50 (n itself when n is a
+    prime below 50^2); None when n has no factor below 50.
+
+    Trial division by 2, 3, ..., 49, stopped at sqrt(n): the least divisor
+    found is prime, and with none below 50 every prime factor is >= 53.
+    """
     d = 2
-    while d * d <= q:
-        if q % d == 0:
+    while d * d <= n:
+        if n % d == 0:
             return d
         d += 1
-    return q
+        if d == 50:
+            return None
+    return n
+
+
+def _miller_rabin(n: int) -> bool:
+    """Whether n is prime, for n with no prime factor below 50.
+
+    Deterministic: the strong-probable-prime test to the bases 2, 3, ..., 41
+    is exact below MILLER_RABIN_LIMIT, and a larger n raises ValueError.
+    """
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"cannot test {n} for primality: the limit is 3.3e24")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _is_prime(p: int) -> bool:
-    return p >= 2 and _least_factor(p) == p
+    if p < 2:
+        return False
+    d = _least_factor(p)
+    return d == p or d is None and _miller_rabin(p)
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1 and k >= 2, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def vp(x, p: int):
@@ -89,10 +139,25 @@ def sum_terms(pairs) -> dict:
 
 
 def prime_power_split(q: int):
-    """q = p^f with p prime; returns (p, f) or raises ValueError."""
+    """q = p^f with p prime; returns (p, f) or raises ValueError.
+
+    With no prime factor below 50, q = p^f forces p >= 53 > 2^5, so
+    f <= bit_length(q) / 5; the largest k with q an exact k-th power gives
+    the only candidate p, which Miller-Rabin then decides.
+    """
     if q < 2:
         raise ValueError("q must be a prime power >= 2")
     p = _least_factor(q)
+    if p is None:
+        p, f = q, 1
+        for k in range(q.bit_length() // 5, 1, -1):
+            r = _iroot(q, k)
+            if r ** k == q:
+                p, f = r, k
+                break
+        if not _miller_rabin(p):
+            raise ValueError(f"{q} is not a prime power")
+        return p, f
     f = vp(q, p)
     if p ** f != q:
         raise ValueError(f"{q} is not a prime power")

@@ -237,6 +237,16 @@ def verify_teichmueller_scale(law: WittLaw) -> tuple:
 # exact model rings carrying a divided-power operation on an ideal
 # ---------------------------------------------------------------------
 
+def _split_p(c, p: int):
+    """(v_p(c), num, den) with c = p^v_p(c) * num / den and num, den prime to p.
+
+    c is a nonzero int or Fraction; its numerator and denominator are
+    divided by the p-power that `vp` reads off, so no Fraction is built.
+    """
+    a = vp(c, p)
+    return a, c.numerator // p ** max(a, 0), c.denominator // p ** max(-a, 0)
+
+
 class DualNumbers:
     """F_p[eps]/(eps^2) with J = (eps); the coefficient ring is Z_p (pi = p).
 
@@ -271,16 +281,16 @@ class DualNumbers:
             raise ValueError("gamma only defined on J")
         return (0, a[1])
 
-    def o_image(self, c: Fraction, k: int = 0):
-        val = Fraction(c) * Fraction(self.p) ** k
-        if val == 0:
+    def o_image(self, c: int | Fraction, k: int = 0):
+        """The image of c * p^k for an int or Fraction c; builds no Fraction."""
+        if c == 0:
             return self.zero
-        v = vp(val, self.p)
-        if v < 0:
+        a, num, den = _split_p(c, self.p)
+        if a + k < 0:
             raise ValueError("not O-integral")
-        if v >= 1:
+        if a + k >= 1:
             return self.zero
-        return (val.numerator * pow(val.denominator, -1, self.p) % self.p, 0)
+        return (num * pow(den, -1, self.p) % self.p, 0)
 
     def sample_J(self):
         return [(0, b) for b in range(self.p)]
@@ -328,8 +338,8 @@ class RamifiedNilpotents:
             raise ValueError("gamma only defined on J")
         return (0, 0, 0, a[2])
 
-    def o_image(self, c: Fraction, k: int = 0):
-        c = Fraction(c)
+    def o_image(self, c: int | Fraction, k: int = 0):
+        """The image of c * pi^k for an int or Fraction c; builds no Fraction."""
         if c == 0:
             return self.zero
         a = vp(c, 2)
@@ -389,9 +399,14 @@ class LocalIntegers:
             raise ValueError("gamma only defined on J")
         return (a[0] ** self.p // self.p, a[1] ** self.p)  # exact: p divides num
 
-    def o_image(self, c: Fraction, k: int = 0):
-        val = Fraction(c) * Fraction(self.p) ** k
-        return self._check((val.numerator, val.denominator))
+    def o_image(self, c: int | Fraction, k: int = 0):
+        """c * p^k as a reduced pair, for an int or Fraction c; builds no Fraction."""
+        if c == 0:
+            return self.zero
+        p = self.p
+        a, num, den = _split_p(c, p)
+        v = a + k
+        return self._check((num * p ** max(v, 0), den * p ** max(-v, 0)))
 
     def sample_J(self):
         p = self.p
@@ -404,7 +419,7 @@ class LocalIntegers:
 def opd_axioms_hold(ring) -> bool:
     """pi*gamma(x) = x^q, gamma(ax) = a^q gamma(x), and the addition rule."""
     q = ring.q
-    pi_elem = ring.o_image(Fraction(1), 1)
+    pi_elem = ring.o_image(1, 1)
 
     def powers(x):
         """[x^0, x^1, ..., x^q]."""
@@ -415,7 +430,7 @@ def opd_axioms_hold(ring) -> bool:
 
     sample_J = [(x, ring.gamma(x), powers(x)) for x in ring.sample_J()]
     sample_B = [(a, powers(a)[q]) for a in ring.sample_B()]
-    alphas = [ring.o_image(Fraction(comb(q, i)), -1) for i in range(1, q)]
+    alphas = [ring.o_image(comb(q, i), -1) for i in range(1, q)]
     for x, gx, xs in sample_J:
         if not ring.eq(ring.mul(pi_elem, gx), xs[q]):
             return False

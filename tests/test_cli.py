@@ -8,6 +8,7 @@ import sys
 from collections import OrderedDict, defaultdict
 from enum import IntEnum
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +288,14 @@ def test_n_below_one_exits_one_before_any_work(capsys, monkeypatch, argv):
     assert captured.err == "error: need n >= 1\n"
 
 
+def test_large_prime_q_is_checked_without_trial_division(capsys):
+    # trial division to sqrt(q) took about 3 s on this q
+    start = perf_counter()
+    assert main(["polygon", "--n", "2", "--q", "100000000000031", "--vals", "1/2"]) == 0
+    assert perf_counter() - start < 1.0
+    assert capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv, err", [
     (("polygon", "--n", "2", "--q", "1", "--vals", "1/2"), "q must be a prime power >= 2"),
     (("polygon", "--n", "2", "--q", "1", "--cm", "1"), "q must be a prime power >= 2"),
@@ -300,6 +309,10 @@ def test_n_below_one_exits_one_before_any_work(capsys, monkeypatch, argv):
     (("periods", "--n", "2", "--q", "0", "--depth", "1"), "q must be a prime power >= 2"),
     (("building", "--n", "2", "--p", "4"), "p must be prime"),
     (("cells", "complex", "--n", "2", "--p", "1"), "p must be prime"),
+    (("polygon", "--n", "2", "--q", "3317044064679887385961981", "--vals", "1/2"),
+     "cannot test 3317044064679887385961981 for primality: the limit is 3.3e24"),
+    (("building", "--n", "2", "--p", "10000000000000000000000013"),
+     "cannot test 10000000000000000000000013 for primality: the limit is 3.3e24"),
 ])
 def test_bad_q_p_or_budget_exits_one_before_any_work(capsys, monkeypatch, argv, err):
     def refuse(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Period tuples from display matrices, and the isomorphism domains."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -208,6 +209,53 @@ def test_evaluate_periods_pinned_at_ramified_point():
     coords = [R.from_digits([0, 1, 1, 0, 1] * 32), R.from_digits([0, 0, 1, 1, 1, 0, 1] * 23)]
     text = ";".join(f"{v}{'!' if flag else ''}" for v, flag in evaluate_periods(pt, coords, R))
     assert text == "-1/4;1/4;-1/4"
+
+
+def evaluate_by_term_powers(pt, coords, point_ring):
+    """Oracle: evaluate_periods raising each coordinate to c ** e for every term."""
+    out = []
+    for comp in pt.f:
+        if comp.is_zero:
+            out.append((Val(INF), True))
+            continue
+        e_min = comp.min_pi_exponent()
+        total = point_ring.zero()
+        for exps, coeff in comp.coeffs.items():
+            term = coeff.unit.embed(point_ring)
+            term = term.shift_up(point_ring.m * (coeff.pi_exp - e_min))
+            for c, e in zip(coords, exps):
+                if e:
+                    term = term * c ** e
+            total = total + term
+        v = total.valuation()
+        out.append((Val(e_min) + v, v.is_inf))
+    return out
+
+
+@cache
+def _period_tuple(n, q, depth):
+    return period_series(n, q, depth, ring=RamifiedRing(q, 1, 24))
+
+
+@st.composite
+def _evaluation_case(draw):
+    n, q, m = draw(st.sampled_from((2, 3))), draw(st.sampled_from((2, 3))), draw(st.sampled_from((1, 2, 4)))
+    depth = draw(st.integers(0, 6))
+    ring = RamifiedRing(q, m, 24)
+    digits = st.lists(st.integers(0, q - 1), min_size=m * 24 - 1, max_size=m * 24 - 1)
+    coords = [ring.from_digits([0] + draw(digits)) for _ in range(n - 1)]  # v(x_i) > 0
+    if draw(st.booleans()):
+        coords[draw(st.integers(0, n - 2))] = ring.zero()
+    return _period_tuple(n, q, depth), coords, ring
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=_evaluation_case())
+def test_evaluate_periods_matches_per_term_powers(case):
+    pt, coords, ring = case
+    got = evaluate_periods(pt, coords, ring)
+    want = evaluate_by_term_powers(pt, coords, ring)
+    assert got == want
 
 
 _VALS = st.one_of(st.just(INF), st.fractions(min_value=Fraction(1, 64), max_value=3,

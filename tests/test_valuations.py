@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from lubintate.valuations import (
     INF,
+    MILLER_RABIN_LIMIT,
     LaurentCoeff,
     RamifiedRing,
     Val,
+    _is_prime,
     frac_json,
     prime_power_split,
     sum_terms,
@@ -58,6 +60,64 @@ def test_prime_power_split_is_sqrt_trial_division():
     assert prime_power_split(2 ** 31 - 1) == (2 ** 31 - 1, 1)
     assert prime_power_split(3 ** 19) == (3, 19)
     assert perf_counter() - start < 1.0
+
+
+def _least_factor_by_trial_division(q):
+    """Oracle: the least prime factor of q >= 2, by trial division up to sqrt(q)."""
+    d = 2
+    while d * d <= q:
+        if q % d == 0:
+            return d
+        d += 1
+    return q
+
+
+def _split_or_none(q):
+    try:
+        return prime_power_split(q)
+    except ValueError as exc:
+        assert str(exc) == f"{q} is not a prime power"
+        return None
+
+
+def test_prime_power_split_matches_trial_division_below_1e5():
+    for q in range(2, 10 ** 5):
+        p = _least_factor_by_trial_division(q)
+        f = vp(q, p)
+        assert _split_or_none(q) == ((p, f) if p ** f == q else None), q
+        assert _is_prime(q) == (p == q), q
+
+
+# 1000000007 and 100000000000031 are prime; the composites are strong
+# pseudoprimes to the bases 2..23 (3825123056546413051 = 149491 * 747451 *
+# 34233211) and 2..37 (318665857834031151167461 = 399165290221 * 798330580441)
+@pytest.mark.parametrize("q, split", [
+    (100000000000031, (100000000000031, 1)),
+    (1000000007 ** 2, (1000000007, 2)),
+    (53 ** 13, (53, 13)),
+    (3 ** 200, (3, 200)),  # a small prime factor needs no primality test
+    (1000000007 ** 3, (1000000007, 3)),  # above the limit, but its root is not
+    (1000000007 * 998244353, None),
+    ((1000000007 * 998244353) ** 2, None),
+    (3825123056546413051, None),
+    (318665857834031151167461, None),
+])
+def test_prime_power_split_of_large_q(q, split):
+    if split is None:
+        with pytest.raises(ValueError, match="is not a prime power"):
+            prime_power_split(q)
+    else:
+        assert prime_power_split(q) == split
+    if q < MILLER_RABIN_LIMIT:
+        assert _is_prime(q) == (split == (q, 1))
+
+
+def test_primality_beyond_the_miller_rabin_limit_is_refused():
+    # the least strong pseudoprime to the first 13 prime bases
+    for n in (MILLER_RABIN_LIMIT, 10 ** 25 + 13):
+        for call in (prime_power_split, _is_prime):
+            with pytest.raises(ValueError, match=f"^cannot test {n} for primality"):
+                call(n)
 
 
 def test_ring_requires_prime():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lubintate import wittlab
+from lubintate import cli, wittlab
 from lubintate.cli import main
 from lubintate.fqlin import rational_inverse
 from lubintate.sparsepoly import Ring
@@ -512,6 +512,79 @@ class _FractionLocalIntegers:
 
     def o_image(self, c, k: int = 0):
         return self._check(Fraction(c) * Fraction(self.p) ** k)
+
+
+def _fraction_dual_image(p: int, c, k: int):
+    """Oracle: DualNumbers(p).o_image(c, k) through the Fraction c * p^k."""
+    val = Fraction(c) * Fraction(p) ** k
+    if val == 0:
+        return (0, 0)
+    v = vp(val, p)
+    if v < 0:
+        raise ValueError("not O-integral")
+    if v >= 1:
+        return (0, 0)
+    return (val.numerator * pow(val.denominator, -1, p) % p, 0)
+
+
+def _fraction_nilpotent_image(c, k: int):
+    """Oracle: RamifiedNilpotents().o_image(c, k) through Fraction(c)."""
+    c = Fraction(c)
+    if c == 0:
+        return (0, 0, 0, 0)
+    exp = 4 * vp(c, 2) + k  # 2 maps to s^4 = 0, pi to s
+    if exp < 0:
+        raise ValueError("not O-integral")
+    if exp >= 4:
+        return (0, 0, 0, 0)
+    out = [0, 0, 0, 0]
+    out[exp] = 1
+    return tuple(out)
+
+
+def _fraction_local_image(p: int, c, k: int):
+    """Oracle: LocalIntegers(p).o_image(c, k) as the reduced pair of the Fraction."""
+    val = _FractionLocalIntegers(p).o_image(c, k)
+    return (val.numerator, val.denominator)
+
+
+_RATIONALS = st.one_of(st.integers(-300, 300),
+                       st.fractions(min_value=-50, max_value=50, max_denominator=300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((2, 3, 5)), c=_RATIONALS, k=st.integers(-3, 5))
+@example(p=2, c=0, k=-3)
+@example(p=3, c=Fraction(5, 9), k=2)     # v = 0 through a denominator power of p
+@example(p=2, c=Fraction(-12, 7), k=-2)  # v = 0 through a numerator power of p
+@example(p=5, c=Fraction(1, 25), k=1)    # not integral
+def test_o_image_matches_fraction_oracles(p, c, k):
+    cases = [(DualNumbers(p), _fraction_dual_image, (p, c, k)),
+             (LocalIntegers(p), _fraction_local_image, (p, c, k))]
+    if p == 2:
+        cases.append((RamifiedNilpotents(), _fraction_nilpotent_image, (c, k)))
+    for ring, oracle, args in cases:
+        try:
+            want = oracle(*args)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                ring.o_image(c, k)
+            assert str(raised.value) == str(exc)
+        else:
+            assert ring.o_image(c, k) == want
+
+
+def test_model_ring_checks_build_no_fraction(monkeypatch):
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert all(ok for _, ok in cli._witt_checks([]))
+    assert made == []
 
 
 def _local_pair(p, raw):
