@@ -135,10 +135,6 @@ class Lattice:
             return 0, [x * p ** -E for x in c]
         return E, c
 
-    def contains(self, other: "Lattice") -> bool:
-        coords = (self.solve_coords(col, other.k) for col in other.H)
-        return all(x % self.p ** E == 0 for E, c in coords for x in c)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Lattice)
@@ -188,9 +184,10 @@ def make_vertex(lat: Lattice, h: int) -> BuildingVertex:
     return BuildingVertex(lat.scale(-t), h + t * lat.n)
 
 
-def standard_vertex(p: int, n: int, h: int = 0) -> BuildingVertex:
+def standard_vertex(p: int, n: int) -> BuildingVertex:
+    """[Z_(p)^n, 0]."""
     cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    return make_vertex(Lattice.from_cols(p, cols), h)
+    return make_vertex(Lattice.from_cols(p, cols), 0)
 
 
 @functools.cache

@@ -41,7 +41,6 @@ from .fqlin import (
 )
 from .hecke import canonical_quotient
 from .polygon import gh_boundary_polygon
-from .valuations import sum_terms
 
 
 class LevelError(ValueError):
@@ -200,30 +199,6 @@ class CellComplex:
     edges: tuple
     dangling: tuple
 
-    def signature(self):
-        """Relabeling-invariant summary for equivariance comparisons."""
-        n = self.cells[0].vertex.n if self.cells else 0
-        degree = []
-        for ci in range(len(self.cells)):
-            per_rank = tuple(
-                sum(
-                    1
-                    for e in self.edges
-                    if e.rank == r and ci in (e.cell_a, e.cell_b)
-                )
-                for r in range(1, n)
-            )
-            degree.append(per_rank)
-        return (
-            len(self.cells),
-            len(self.edges),
-            tuple(sorted(degree)),
-            tuple(sorted(self.dangling_counts())),
-        )
-
-    def dangling_counts(self):
-        return list(sum_terms((ci, 1) for ci, _, _ in self.dangling).values())
-
     def to_json_dict(self):
         """The complex as JSON, its cells' one boundary constraint written once.
 
@@ -296,19 +271,13 @@ def integral_generators(n: int, i: int):
     """Generators (e_k, k) of the monoid {(a, b) : a(n-i) >= b n} over (1, 0).
 
     e_k = ceil(k n / (n - i)) for k = 1 .. (n-i)/gcd(n, i); the valuation
-    e_k (1 - i/n) - k is >= 0 by construction and the list, together with
-    (1, 0), generates the full saturated monoid.
+    e_k (1 - i/n) - k is >= 0 because e_k (n - i) >= k n, and the list,
+    together with (1, 0), generates the full saturated monoid.
     """
     if not 1 <= i <= n - 1:
         raise ValueError("need 1 <= i <= n-1")
     top = (n - i) // gcd(n, i)
-    out = []
-    for k in range(1, top + 1):
-        e_k = -((-k * n) // (n - i))  # ceil
-        if e_k * (n - i) - k * n < 0:
-            raise RuntimeError(f"generator ({e_k}, {k}) has negative valuation")
-        out.append((e_k, k))
-    return out
+    return [(-((-k * n) // (n - i)), k) for k in range(1, top + 1)]
 
 
 def saturation_check(n: int, i: int) -> bool:

@@ -84,10 +84,10 @@ def _encode(obj) -> str:
     encoder.  Here a value of exact type str or int goes straight to its
     writer (the C `encode_basestring_ascii`, `int.__repr__`), a dict writes
     such values inline, and a list or tuple whose items all have one of
-    those types is one `str.join`.  Bools, None and subclasses (an IntEnum,
-    an OrderedDict) take the `isinstance` tests the standard library makes.
-    Dict keys must be str: another key, or a value that is not a dict, list,
-    tuple, str, int, bool or None, raises TypeError.
+    those types is one `str.join`.  Types are matched exactly: a value that
+    is not a dict, list, tuple, str, int, bool or None, a subclass of one of
+    them included (an IntEnum, an OrderedDict), raises TypeError, and so
+    does a dict key that is not a str.
     """
 
     def block(brackets, parts, depth):
@@ -121,20 +121,12 @@ def _encode(obj) -> str:
             return enc_dict(o, depth)
         if type(o) is list or type(o) is tuple:
             return enc_list(o, depth)
-        if isinstance(o, str):
-            return encode_basestring_ascii(o)
         if o is None:
             return "null"
         if o is True:
             return "true"
         if o is False:
             return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, dict):
-            return enc_dict(o, depth)
-        if isinstance(o, (list, tuple)):
-            return enc_list(o, depth)
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
     return enc(obj, 0)
@@ -322,6 +314,11 @@ def _smoke_checks():
 
     res = hecke.reduce_to_domain(polygon.polygon_from_vals(2, 3, [Fraction(3, 10)]))
     yield "hecke reduce lands in D", polygon.in_gross_hopkins(res.final)
+
+    # Gross's quasi-canonical lift of level 3 at q = 2: v(x_1) = 1/e_3, e_3 = q^2 (q + 1)
+    res = hecke.reduce_to_domain(polygon.polygon_from_vals(2, 2, [Fraction(1, 12)]))
+    ok = res.steps == (1, 1, 1) and res.final == polygon.cm_polygon(2, 2, 1)
+    yield "hecke quasi-canonical orbit (level 3)", ok
 
     sizes = [len(building.ball(building.standard_vertex(3, 2), r)) for r in range(3)]
     yield "ball sizes (1,5,17)", sizes == [1, 5, 17]

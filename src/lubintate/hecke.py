@@ -106,11 +106,8 @@ def canonical_quotient(poly: NewtonPolygon, i: int) -> IsogenyStep:
 
     pairs = []
     # type A: surviving pi-torsion strata
-    for j in range(i + 1, n + 1):
-        mult = q ** j - q ** (j - 1)
-        if mult % qi:
-            raise NonGenericCollision("type A multiplicity not divisible by q^i")
-        pairs.append((poly.slopes[j - 1] * qi, mult // qi))
+    for j in range(i + 1, n + 1):  # q^j - q^(j-1) = q^(j-1) (q - 1), and j > i
+        pairs.append((poly.slopes[j - 1] * qi, (q ** j - q ** (j - 1)) // qi))
 
     # type B: new torsion above each nonzero kernel point
     for b, m_b in by_value.items():
@@ -178,10 +175,10 @@ def reduce_to_domain(poly: NewtonPolygon, budget: int = 32) -> ReduceResult:
                 except NonGenericCollision as exc:
                     collision = exc
         if step is None:
-            if collision is not None:
-                raise collision
-            # equal-slope polygons are always in D; defensive only
-            raise NonGenericCollision("no rupture available outside D")
+            # the one-slope polygon cm_polygon(n, q, 1) is in D: its vertex
+            # values 1 - (q^i - 1)/(q^n - 1) are >= 1 - i/n as q^x is convex,
+            # so outside D some rupture was tried and collided
+            raise collision
         steps.append(step.rank)
         current = step.image
         trail.append(current)

@@ -58,9 +58,6 @@ class NewtonPolygon:
         self.slopes = slopes
         self.vertex_vals = tuple(vv)
 
-    def vertex_points(self):
-        return [(self.q ** i, self.vertex_vals[i]) for i in range(self.n + 1)]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NewtonPolygon)
@@ -134,7 +131,9 @@ def lambda_extremes(n: int, q: int, vals):
 
     lambda_1 = max over 1 <= i <= n of (1 - v(x_i)) / (q^i - 1),
     lambda_n = min over 0 <= j <= n-1 of v(x_j) / (q^n - q^j),
-    with v(x_0) = 1 and v(x_n) = 0; INF entries drop out of both.
+    with v(x_0) = 1 and v(x_n) = 0; INF entries drop out of both.  So H,
+    where the period map is an isomorphism, is the inequality system
+    (1 - v(x_i)) / (q^n (q^i - 1)) < v(x_j) / (q^n - q^j) over all such i, j.
     """
     vals = [_as_val(v) for v in vals]
     if len(vals) != n - 1:
@@ -179,24 +178,6 @@ def boundary_indices(poly: NewtonPolygon) -> frozenset:
 
 def in_H(poly: NewtonPolygon) -> bool:
     return poly.slopes[0] < poly.slopes[-1] * poly.q ** poly.n
-
-
-def vals_in_H(n: int, q: int, vals) -> bool:
-    """Coordinate form of the H condition lambda_1 / q^n < lambda_n.
-
-    vals are v(x_1), ..., v(x_{n-1}) (rationals or INF), with the
-    conventions v(x_0) = v(pi) = 1 and v(x_n) = v(1) = 0.  Through the
-    closed forms of lambda_extremes this is the inequality system cutting
-    out where the period map is an isomorphism: for all 1 <= i <= n and
-    0 <= j <= n-1,
-
-        (1 - v(x_i)) / (q^n (q^i - 1))  <  v(x_j) / (q^n - q^j).
-
-    An infinite v(x_i) drops its left side and an infinite v(x_j) its right
-    side; the i = n and j = 0 conventions keep both sides populated.
-    """
-    lam1, lamn = lambda_extremes(n, q, vals)
-    return lam1 < lamn * q ** n
 
 
 def cm_polygon(n: int, q: int, e: int) -> NewtonPolygon:

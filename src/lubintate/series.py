@@ -84,12 +84,6 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, exps) -> LaurentCoeff:
-        return self.coeffs.get(tuple(exps), LaurentCoeff.zero(self.ring))
-
-    def constant_term(self) -> LaurentCoeff:
-        return self.coeff((0,) * self.nvars)
-
     def min_pi_exponent(self):
         """Smallest pi_exponent over stored coefficients; None when zero."""
         if not self.coeffs:

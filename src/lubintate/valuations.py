@@ -290,12 +290,6 @@ class RamifiedRing:
     def from_int(self, a: int) -> "RamifiedElement":
         return RamifiedElement(self, (a % self.mod,) + (0,) * (self.m - 1))
 
-    def uniformizer(self, k: int = 1) -> "RamifiedElement":
-        """u^k for 0 <= k; zero once k reaches m*N."""
-        if k < 0:
-            raise ValueError("negative uniformizer powers live in LaurentCoeff")
-        return self.one().shift_up(k)
-
 
 class RamifiedElement:
     """a_0 + a_1 u + ... + a_(m-1) u^(m-1), each a_r in [0, p^N); immutable."""
@@ -360,15 +354,17 @@ class RamifiedElement:
             R, tuple((work[r] + R.p * work[r + m]) % R.mod for r in range(m)))
 
     def __pow__(self, e: int) -> "RamifiedElement":
+        """Left-to-right binary powering: floor(log2 e) squarings and
+        popcount(e) - 1 products by self."""
         if e < 0:
             raise ValueError("negative powers: use inverse() on a unit")
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if e == 0:
+            return self.ring.one()
+        result = self
+        for bit in bin(e)[3:]:  # the bits below the leading one
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def inverse(self) -> "RamifiedElement":
@@ -418,12 +414,6 @@ class RamifiedElement:
         if s:
             a = a[s:] + tuple(x // R.p for x in a[:s])
         return RamifiedElement(R, a)
-
-    def integer_lift(self) -> int:
-        """For m = 1: the canonical integer representative in [0, p^N)."""
-        if self.ring.m != 1:
-            raise ValueError("integer_lift is only defined for unramified rings")
-        return self.coeffs[0]
 
     def embed(self, target: RamifiedRing) -> "RamifiedElement":
         """Embed an m = 1 element into a ring with the same p.
@@ -508,10 +498,6 @@ class LaurentCoeff:
     @classmethod
     def pi_power(cls, ring: RamifiedRing, e: int) -> "LaurentCoeff":
         return cls(ring.one(), e)
-
-    @classmethod
-    def from_int(cls, ring: RamifiedRing, a: int, pi_exp: int = 0) -> "LaurentCoeff":
-        return cls(ring.from_int(a), pi_exp)
 
     @property
     def ring(self) -> RamifiedRing:

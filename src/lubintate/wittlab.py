@@ -517,9 +517,3 @@ def eval_witt_op(law: WittLaw, polys, ring, x_elems=None, y_elems=None, w_elems=
         if elems is not None:
             env.update(zip(names, elems))
     return tuple(eval_expr(law.poly_ring, poly, ring, env) for poly in polys)
-
-
-def scalar_witt_elems(law: WittLaw, ring, c: Fraction):
-    """Images of const_witt(c) components in the model ring."""
-    comps = const_witt(law, {0: Fraction(c)})
-    return tuple(eval_expr(law.poly_ring, comp, ring, {}) for comp in comps)

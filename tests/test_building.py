@@ -128,7 +128,7 @@ def test_lattice_canonical_form():
     shifted = lat.scale(2)
     assert shifted.det_val == 4
     again = Lattice.from_cols(3, fraction_cols(shifted))
-    assert again.contains(again)
+    assert again == shifted
 
 
 def test_lattice_errors():
@@ -143,11 +143,12 @@ def test_lattice_errors():
 def test_lattice_containment_and_quotient():
     lat = Lattice.from_cols(2, [[1, 0], [0, 1]])
     sub = Lattice.from_cols(2, [[2, 0], [0, 1]])
-    assert lat.contains(sub) and not sub.contains(lat)
+    assert contains_oracle(2, fraction_cols(lat), fraction_cols(sub))
+    assert not contains_oracle(2, fraction_cols(sub), fraction_cols(lat))
 
 
 def test_vertex_normalization():
-    v = standard_vertex(3, 2, h=4)
+    v = make_vertex(standard_vertex(3, 2).lat, 4)
     assert v.h == 4 and v.lat.det_val == 0
     # det valuation is folded into the height in steps of n
     w = make_vertex(v.lat.scale(3), 0)
@@ -219,7 +220,7 @@ def test_ball_edges_are_the_out_edges_of_the_ball(n, p, radius):
 
 def test_descent_is_central_uniformizer():
     for p, n in ((2, 2), (3, 2), (2, 3)):
-        a = standard_vertex(p, n, h=1)
+        a = BuildingVertex(standard_vertex(p, n).lat, 1)
         stepped = a
         for _ in range(n):
             stepped = descent(stepped)
@@ -300,32 +301,6 @@ def test_hermite_form_is_invariant_under_unimodular_ops(p, n, data):
             rs = [data.draw(z_p) for _ in cols]
             cols.append([sum(r * c[k] for r, c in zip(rs, cols)) for k in range(n)])
     assert Lattice.from_cols(p, cols) == lat
-
-
-@settings(max_examples=150, deadline=None)
-@given(p=primes, n=dims, data=st.data())
-def test_contains_matches_back_substitution_oracle(p, n, data):
-    gens = data.draw(generator_sets(p, n))
-    try:
-        big = Lattice.from_cols(p, gens)
-    except ValueError:
-        assume(False)
-    if data.draw(st.booleans()):
-        # a Z_(p)-combination of big's basis, usually a sublattice
-        mix = [[data.draw(st.integers(-4, 4)) * p ** data.draw(st.integers(0, 2))
-                for _ in range(n)] for _ in range(n)]
-        assume(_det(mix) != 0)
-        basis = fraction_cols(big)
-        small_gens = [[sum(m[k] * basis[k][r] for k in range(n)) for r in range(n)]
-                      for m in mix]
-    else:
-        small_gens = data.draw(generator_sets(p, n, extra=0))
-    try:
-        small = Lattice.from_cols(p, small_gens)
-    except ValueError:
-        assume(False)
-    assert big.contains(small) == contains_oracle(p, fraction_cols(big), fraction_cols(small))
-    assert small.contains(big) == contains_oracle(p, fraction_cols(small), fraction_cols(big))
 
 
 @settings(max_examples=40, deadline=None)

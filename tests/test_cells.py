@@ -1,6 +1,7 @@
 """Cells over vertices, boundary gluing, cocycles, complex assembly."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import event, given, settings
@@ -465,11 +466,23 @@ def test_assemble_complex_refuses_a_stratum_without_its_partner(monkeypatch, n, 
         assemble_complex(verts)
 
 
+def signature(cx):
+    """Relabeling-invariant summary of a complex for equivariance comparisons:
+    its cell and edge counts, and the sorted per-cell edge counts by rank
+    and dangling counts."""
+    n = cx.cells[0].vertex.n if cx.cells else 0
+    degree = [tuple(sum(1 for e in cx.edges if e.rank == r and ci in (e.cell_a, e.cell_b))
+                    for r in range(1, n))
+              for ci in range(len(cx.cells))]
+    dangling = Counter(ci for ci, _, _ in cx.dangling).values()
+    return len(cx.cells), len(cx.edges), tuple(sorted(degree)), tuple(sorted(dangling))
+
+
 def test_complex_signature_is_action_invariant():
     verts = ball(standard_vertex(3, 2), 1)
     g = [[1, 2], [1, 5]]
     moved = [act(g, 3, v) for v in verts]
-    assert assemble_complex(verts).signature() == assemble_complex(moved).signature()
+    assert signature(assemble_complex(verts)) == signature(assemble_complex(moved))
 
 
 def test_integral_generators_values():
@@ -477,7 +490,8 @@ def test_integral_generators_values():
     assert integral_generators(3, 1) == [(2, 1), (3, 2)]
     assert integral_generators(3, 2) == [(3, 1)]
     assert integral_generators(6, 4) == [(3, 1)]
-    for n in range(2, 7):
+    # the premise that makes each generator's valuation e_k (1 - i/n) - k >= 0
+    for n in range(2, 40):
         for i in range(1, n):
             for e, k in integral_generators(n, i):
                 assert e * (n - i) >= k * n

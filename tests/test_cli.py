@@ -173,6 +173,12 @@ def test_hecke_reduce_budget_edge(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: not in D after 2 quotients\n"
     assert run_json(capsys, *argv, "--budget", "3")["steps"] == [1, 1, 1]
+    # levels 32 and 33 (v(x_1) = 1/(2^31 * 3) and 1/(2^32 * 3)) around the default budget of 32
+    argv = ["hecke", "reduce", "--n", "2", "--q", "2", "--vals"]
+    assert run_json(capsys, *argv, "1/6442450944")["steps"] == [1] * 32
+    assert main([*argv, "1/12884901888"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: not in D after 32 quotients\n"
 
 
 def test_hecke_quotient(capsys):
@@ -236,6 +242,7 @@ def test_selftest(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "ball sizes (1,5,17)" in out
+    assert "ok   hecke quasi-canonical orbit (level 3)" in out
 
 
 def test_domain_error_exits_one(capsys):
@@ -542,16 +549,22 @@ class _Tag(str):
 
 
 def test_encode_dispatch_on_exact_type_keeps_the_stdlib_bytes():
-    grouped = defaultdict(list, {"b": [1, True, 0], "a": [_Level.LOW, 2]})
     objs = [
-        [1, True, False, 0], [True, False], [_Level.HIGH, _Level.LOW], [_Level.LOW, 3, True],
-        {"level": _Level.HIGH, "flag": False, "none": None},
-        [_Tag("x"), "y"], [_Tag('q"\u00e9')], {_Tag("k"): _Tag("v"), "j": 1},
-        OrderedDict([("z", 1), ("a", [2, 3])]), grouped, OrderedDict(),
+        [1, True, False, 0], [True, False], [2, 3, True], {"level": 2, "flag": False, "none": None},
+        ["x", "y"], ['q"\u00e9'], {"k": "v", "j": 1}, {"z": 1, "a": [2, 3]}, {},
         ((1, 0), (0, 1)), ("a", ("b", ())), {"rows": ((1, 2), [3, (4,)])},
     ]
     for obj in objs:
         assert _encode(obj) == _stdlib(obj), obj
+    # the program writes exact types only: a subclass of one is refused
+    subclassed = [
+        [_Level.HIGH, _Level.LOW], [_Level.LOW, 3, True], {"level": _Level.HIGH},
+        [_Tag("x"), "y"], {"k": _Tag("v")}, OrderedDict([("z", 1)]), OrderedDict(),
+        defaultdict(list, {"b": [1, True, 0]}), [(1, 2), OrderedDict()],
+    ]
+    for obj in subclassed:
+        with pytest.raises(TypeError):
+            _encode(obj)
 
 
 @pytest.mark.parametrize("depth", [14, 15, 16, 17, 40])

@@ -65,6 +65,23 @@ def test_reduce_budget():
         reduce_to_domain(poly, budget=0)
 
 
+def test_one_slope_polygon_is_in_D():
+    """reduce_to_domain's premise: the one polygon with no rupture,
+    cm_polygon(n, q, 1), is in D, so outside D some rupture is tried."""
+    for n in range(1, 10):
+        for q in (2, 3, 4, 5, 7, 8, 9, 16, 25):
+            assert in_gross_hopkins(cm_polygon(n, q, 1)), (n, q)
+
+
+def test_reduce_reraises_the_collision_when_every_rupture_collides(monkeypatch):
+    def collide(poly, i):
+        raise NonGenericCollision(f"collision at rank {i}")
+
+    monkeypatch.setattr(hecke, "canonical_quotient", collide)
+    with pytest.raises(NonGenericCollision, match="rank 1"):
+        reduce_to_domain(polygon_from_vals(3, 2, [Fraction(1, 12), Fraction(1, 12)]))
+
+
 @st.composite
 def reduce_inputs(draw):
     """(n, q, vals) from a grid on which no reduction meets a collision.
@@ -154,7 +171,7 @@ def test_boundary_profile_requires_domain():
 def division_profile_oracle(poly, b):
     """Lower hull of (0, b) and the polygon's vertices, rebuilt from scratch."""
     points = [(Fraction(0), Fraction(b))] + [
-        (Fraction(x), y) for x, y in poly.vertex_points()
+        (Fraction(poly.q ** i), y) for i, y in enumerate(poly.vertex_vals)
     ]
     hull = _lower_hull(points)
     roots = []

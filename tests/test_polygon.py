@@ -18,7 +18,6 @@ from lubintate.polygon import (
     polygon_from_vals,
     torsion_valuations,
     vals_in_gross_hopkins,
-    vals_in_H,
 )
 from lubintate.valuations import INF, Val
 
@@ -133,8 +132,6 @@ def test_cm_polygon_rejects_nondivisor():
 
 def test_in_H_boundary_case():
     # n = 2, q = 2: H is v > 1/3, boundary excluded
-    assert not vals_in_H(2, 2, [Fraction(1, 3)])
-    assert vals_in_H(2, 2, [Fraction(1, 2)])
     assert in_H(polygon_from_vals(2, 2, [Fraction(1, 2)]))
     assert not in_H(polygon_from_vals(2, 2, [Fraction(1, 3)]))
 

@@ -33,7 +33,7 @@ def test_cap_is_per_variable():
     y = TruncSeries.variable(R, 2, 4, 2)
     prod = x * x * x * y
     assert not prod.is_zero
-    assert prod.coeff((3, 1)) == LaurentCoeff.one(R)
+    assert prod.coeffs.get((3, 1)) == LaurentCoeff.one(R)
 
 
 def test_binomial_square_collects_cross_term():
@@ -41,9 +41,9 @@ def test_binomial_square_collects_cross_term():
     x = TruncSeries.variable(R, 2, 5, 1)
     y = TruncSeries.variable(R, 2, 5, 2)
     s = (x + y) * (x + y)
-    assert s.coeff((2, 0)) == LaurentCoeff.one(R)
+    assert s.coeffs.get((2, 0)) == LaurentCoeff.one(R)
     # 2xy: at p = 2 the coefficient is pi itself
-    assert s.coeff((1, 1)) == LaurentCoeff.pi_power(R, 1)
+    assert s.coeffs.get((1, 1)) == LaurentCoeff.pi_power(R, 1)
 
 
 def test_inverse_of_unit_series():
@@ -62,15 +62,15 @@ def test_frobenius_twist_raises_exponents():
     x = TruncSeries.variable(R, 1, 9, 1)
     f = TruncSeries.one(R, 1, 9) + x
     tw = f.frobenius_twist(2)
-    assert tw.coeff((2,)) == LaurentCoeff.one(R)
-    assert tw.coeff((1,)).is_zero
+    assert tw.coeffs.get((2,)) == LaurentCoeff.one(R)
+    assert (1,) not in tw.coeffs
 
 
 def test_mul_pi_power_shifts_coefficients():
     R = ring()
     x = TruncSeries.variable(R, 1, 5, 1)
     shifted = x.mul_pi_power(-2)
-    assert shifted.coeff((1,)) == LaurentCoeff.pi_power(R, -2)
+    assert shifted.coeffs.get((1,)) == LaurentCoeff.pi_power(R, -2)
     assert shifted.mul_pi_power(2) == x
 
 
@@ -115,7 +115,7 @@ def test_mixed_ring_rejected():
 def test_scale_drops_products_past_precision():
     # u * u = p vanishes at N = 1, so no zero coefficient may be stored
     R = RamifiedRing(2, 2, 1)
-    u = LaurentCoeff(R.uniformizer(1))
+    u = LaurentCoeff(R.one().shift_up(1))
     s = TruncSeries.const(R, 1, 3, u)
     assert s.scale(u).coeffs == {}
     assert (s * s).is_zero
@@ -125,7 +125,7 @@ def test_scale_drops_products_past_precision():
 
 def geometric_inverse(f):
     """1/f = c^-1 (1 - h + h^2 - ...) with h = f/c - 1, one product per power."""
-    c = f.constant_term()
+    c = f.coeffs[(0,) * f.nvars]
     cinv = c.inverse()
     h = (f - TruncSeries.const(f.ring, f.nvars, f.cap, c)).scale(cinv)
     result = TruncSeries.one(f.ring, f.nvars, f.cap)
@@ -178,6 +178,6 @@ def test_inverse_matches_geometric_series(f):
 
 @given(f=unit_series())
 def test_inverse_needs_a_constant_term(f):
-    h = f - TruncSeries.const(f.ring, f.nvars, f.cap, f.constant_term())
+    h = f - TruncSeries.const(f.ring, f.nvars, f.cap, f.coeffs[(0,) * f.nvars])
     with pytest.raises(ValueError):
         h.inverse()

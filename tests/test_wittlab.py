@@ -28,11 +28,11 @@ from lubintate.wittlab import (
     check_o_integrality,
     const_witt,
     delta_pi_exponent,
+    eval_expr,
     eval_witt_op,
     exp_opd,
     log_opd,
     opd_axioms_hold,
-    scalar_witt_elems,
     teichmueller,
     verify_fv_is_pi,
     verify_ghost_homomorphism,
@@ -194,6 +194,12 @@ def test_log_of_teichmueller_product_scales_by_powers():
                 for _ in range(p**i):
                     apow = ring.mul(apow, a_unit)
                 assert ring.eq(lp[i], ring.mul(apow, lw[i]))
+
+
+def scalar_witt_elems(law, ring, c):
+    """Images in the model ring of the components of const_witt(c)."""
+    comps = const_witt(law, {0: Fraction(c)})
+    return tuple(eval_expr(law.poly_ring, comp, ring, {}) for comp in comps)
 
 
 def test_log_of_scalar_product_is_scalar():
