@@ -16,9 +16,11 @@ one with a `--p` a p that is not prime, and `hecke reduce` a negative
 and out-edges may need more than `building.BALL_WORK_BUDGET` neighbour
 lattices, `cells complex` a level its cells cannot glue at
 (`cells.check_level`), `periods` a depth past the budgets of
-`periods.check_budget`, and `witt selftest` any `--q` entry that is not
-a prime power and a (max-n, q) past `wittlab.SELFTEST_MAX_Q`; all before
-any work starts.  So is an `--out` path whose directory is missing or
+`periods.check_budget`, `cells generators` an (n, i) past
+`cells.GENERATORS_WORK_BUDGET`, `polygon --torsion` a profile past
+`polygon.TORSION_DIGIT_BUDGET`, and `witt selftest` any `--q` entry that
+is not a prime power and a (max-n, q) past `wittlab.SELFTEST_MAX_Q`; all
+before any work starts.  So is an `--out` path whose directory is missing or
 that names a directory; one that still cannot be written exits 1 after
 the work.  The `--out` file is opened only once the output is complete,
 so a failed run leaves it as it was.
@@ -162,6 +164,8 @@ def cmd_periods(args) -> int:
 
 
 def cmd_polygon(args) -> int:
+    if args.torsion and args.format == "json":
+        polygon.check_torsion_budget(args.n, args.q, args.torsion)
     if args.cm is not None:
         poly = polygon.cm_polygon(args.n, args.q, args.cm)
     else:
@@ -239,6 +243,7 @@ def cmd_cells_complex(args) -> int:
 
 
 def cmd_cells_generators(args) -> int:
+    cells.check_generators_budget(args.n, args.i)
     gens = cells.integral_generators(args.n, args.i)
     _dump(args, {
         "n": args.n,

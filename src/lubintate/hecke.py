@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polygon import NewtonPolygon, in_gross_hopkins
-from .valuations import INF, Val, sum_terms
+from .valuations import INF, sum_terms
 
 
 class NonGenericCollision(ValueError):
@@ -102,7 +102,7 @@ def canonical_quotient(poly: NewtonPolygon, i: int) -> IsogenyStep:
     qi = q ** i
 
     by_value = sum_terms((poly.slopes[j - 1], q ** j - q ** (j - 1)) for j in range(1, i + 1))
-    kernel = [(Val(INF), 1)] + [(Val(v), by_value[v]) for v in sorted(by_value, reverse=True)]
+    kernel = [(INF, 1)] + [(v, by_value[v]) for v in sorted(by_value, reverse=True)]
 
     pairs = []
     # type A: surviving pi-torsion strata

@@ -265,7 +265,7 @@ def _pi_span(*series_list) -> int:
     return -min(0, min(lows, default=0))
 
 
-def _agree_to(a: TruncSeries, b: TruncSeries, bound: Val) -> bool:
+def _agree_to(a: TruncSeries, b: TruncSeries, bound: int) -> bool:
     diff = a - b
     return all(
         c.is_zero or c.valuation() >= bound for c in diff.coeffs.values()
@@ -276,7 +276,7 @@ def _cf2_matches(h: TruncSeries, k: TruncSeries, num: TruncSeries, den: TruncSer
                  N: int) -> bool:
     """h/k = num/den, checked without dividing: h * den equals num * k at
     every coefficient to valuation >= N."""
-    return _agree_to(h * den, num * k, Val(N))
+    return _agree_to(h * den, num * k, N)
 
 
 def _guarded_cf2(q, depth, pt_depth, ring):
@@ -338,9 +338,10 @@ def evaluate_periods(pt: PeriodTuple, coords, point_ring: RamifiedRing):
     """Substitute exact coordinates into each f_i.
 
     coords: one RamifiedElement of point_ring per variable x_1..x_{n-1}.
-    Returns a list of (Val, zero-to-precision flag) pairs.  The common power
-    pi^(e_min) of each component is pulled out exactly, so a finite answer
-    is exact; an all-zero digit sum reports (INF, True) rather than lying.
+    Returns a list of (Val or INF, zero-to-precision flag) pairs.  The
+    common power pi^(e_min) of each component is pulled out exactly, so a
+    finite answer is exact; an all-zero digit sum reports (INF, True) rather
+    than lying.
     Each coordinate's powers are computed once per call, one per distinct
     positive exponent the period tuple uses (`_power_table`); every term
     then multiplies by table entries.
@@ -356,7 +357,7 @@ def evaluate_periods(pt: PeriodTuple, coords, point_ring: RamifiedRing):
     out = []
     for comp in pt.f:
         if comp.is_zero:
-            out.append((Val(INF), True))
+            out.append((INF, True))
             continue
         e_min = comp.min_pi_exponent()
         total = point_ring.zero()
@@ -368,5 +369,5 @@ def evaluate_periods(pt: PeriodTuple, coords, point_ring: RamifiedRing):
                     term = term * table[e]
             total = total + term
         v = total.valuation()
-        out.append((Val(e_min) + v, v.is_inf))
+        out.append((Val(e_min) + v, v is INF))
     return out

@@ -20,12 +20,9 @@ Everything is exact Fraction arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import log10
 
-from .valuations import Val, frac_json, prime_power_split, sum_terms
-
-
-def _as_val(v) -> Val:
-    return v if isinstance(v, Val) else Val(v)
+from .valuations import INF, Val, frac_json, prime_power_split, sum_terms
 
 
 class NewtonPolygon:
@@ -104,19 +101,14 @@ def polygon_from_vals(n: int, q: int, vals) -> NewtonPolygon:
     valuation must be positive, else the polygon degenerates (a unit
     coordinate forces a zero slope).
     """
-    vals = [_as_val(v) for v in vals]
+    vals = [Val(v) for v in vals]
     if len(vals) != n - 1:
         raise ValueError("need n-1 coordinate valuations")
-    points = [(1, Fraction(1))]  # integer abscissas q^i, already x-sorted
-    for i, v in enumerate(vals, start=1):
-        if v.is_inf:
-            continue
-        f = v.as_fraction()
-        if f <= 0:
-            raise ValueError("coordinate valuations must be positive (unit ball interior)")
-        points.append((q ** i, f))
-    points.append((q ** n, Fraction(0)))
-    hull = _lower_hull(points)
+    if any(v <= 0 for v in vals):
+        raise ValueError("coordinate valuations must be positive (unit ball interior)")
+    # integer abscissas q^i, already x-sorted
+    finite = [(q ** i, v) for i, v in enumerate(vals, start=1) if v is not INF]
+    hull = _lower_hull([(1, Fraction(1)), *finite, (q ** n, Fraction(0))])
 
     # a hull segment from q^a to q^b carries the slope of blocks a + 1 .. b
     exponent = {q ** i: i for i in range(n + 1)}
@@ -135,21 +127,12 @@ def lambda_extremes(n: int, q: int, vals):
     where the period map is an isomorphism, is the inequality system
     (1 - v(x_i)) / (q^n (q^i - 1)) < v(x_j) / (q^n - q^j) over all such i, j.
     """
-    vals = [_as_val(v) for v in vals]
+    vals = [Val(v) for v in vals]
     if len(vals) != n - 1:
         raise ValueError("need n-1 coordinate valuations")
-    lam1 = []
-    for i in range(1, n + 1):
-        v = Val(0) if i == n else vals[i - 1]
-        if v.is_inf:
-            continue
-        lam1.append(Fraction(1 - v.as_fraction(), q ** i - 1))
-    lamn = []
-    for j in range(0, n):
-        v = Val(1) if j == 0 else vals[j - 1]
-        if v.is_inf:
-            continue
-        lamn.append(Fraction(v.as_fraction(), q ** n - q ** j))
+    lam1 = [Fraction(1 - v, q ** i - 1)
+            for i, v in enumerate([*vals, 0], start=1) if v is not INF]
+    lamn = [Fraction(v, q ** n - q ** j) for j, v in enumerate([1, *vals]) if v is not INF]
     return max(lam1), min(lamn)
 
 
@@ -161,11 +144,7 @@ def in_gross_hopkins(poly: NewtonPolygon) -> bool:
 
 def vals_in_gross_hopkins(n: int, vals) -> bool:
     """Coordinate form of the D condition: v(x_i) >= 1 - i/n for all i."""
-    vals = [_as_val(v) for v in vals]
-    for i, v in enumerate(vals, start=1):
-        if not v.is_inf and v.as_fraction() < Fraction(n - i, n):
-            return False
-    return True
+    return all(Val(v) >= Fraction(n - i, n) for i, v in enumerate(vals, start=1))
 
 
 def boundary_indices(poly: NewtonPolygon) -> frozenset:
@@ -202,12 +181,29 @@ def gh_boundary_polygon(n: int, q: int) -> NewtonPolygon:
     return cm_polygon(n, q, n)
 
 
+# digits that `polygon --torsion k` may print; n = 3, q = 2, k = 1000 (about
+# 2.7e6 by the estimate of check_torsion_budget) printed 2.0 MB
+TORSION_DIGIT_BUDGET = 10 ** 6
+
+
+def check_torsion_budget(n: int, q: int, k: int) -> None:
+    """Refuse, before any torsion work, a pi^k-torsion profile that would
+    print more than about TORSION_DIGIT_BUDGET digits.
+
+    Level m contributes n values and multiplicities of about n m log10(q)
+    digits each, so the k levels print about (n k)^2 log10(q) digits.
+    """
+    if (n * k) ** 2 > TORSION_DIGIT_BUDGET / log10(q):
+        raise ValueError(f"--torsion {k} at n = {n}, q = {q} would print more than "
+                         f"{TORSION_DIGIT_BUDGET} digits")
+
+
 def torsion_valuations(poly: NewtonPolygon, k: int):
     """Valuation profile of the pi^k-torsion for a polygon in H.
 
     Level m contributes values lambda_j / q^(n(m-1)) with multiplicity
     (q^j - q^(j-1)) q^(n(m-1)); in H the levels do not interleave, which is
-    what makes this the full sorted profile.  Returns (Val, multiplicity)
+    what makes this the full sorted profile.  Returns (Fraction, multiplicity)
     pairs sorted by decreasing value; total count q^(nk) - 1.
     """
     if k < 1:
@@ -220,7 +216,7 @@ def torsion_valuations(poly: NewtonPolygon, k: int):
         for scale in (q ** (n * (m - 1)) for m in range(1, k + 1))
         for j, lam in enumerate(poly.slopes, start=1)
     )
-    return [(Val(v), acc[v]) for v in sorted(acc, reverse=True)]
+    return [(v, acc[v]) for v in sorted(acc, reverse=True)]
 
 
 # ---------------------------------------------------------------------

@@ -10,6 +10,8 @@ v(sum a_r u^r) = min_r (m v_p(a_r) + r) / m lies in (1/m)Z.
 The u-adic digit expansion is an I/O format only: digit slot j*m + r is
 the j-th base-p digit of a_r (`from_digits`, `digit_string`).
 
+A valuation is an exact rational (an int or a Fraction) or INF, the
+valuation of zero, which lies above every rational and absorbs `+`.
 Zero means "zero to working precision": `is_zero` holds and the
 valuation is INF rather than an error.
 
@@ -26,18 +28,36 @@ series coefficients, Witt-law coefficients and valuation multisets.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 
 
+@total_ordering
 class _Infinity:
-    """Singleton marker for infinite valuation."""
+    """The infinite valuation, of x = 0: above every rational and equal only
+    to itself.  It absorbs `+` from either side.  Library code tests
+    `v is INF`; `is_inf` and `as_fraction` serve outside callers, as on Val.
+    """
 
     __slots__ = ()
+    is_inf = True
+
+    def as_fraction(self):
+        raise ValueError("infinite valuation has no rational value")
+
+    def __add__(self, other):
+        return self if isinstance(other, _VALUATION_TYPES) else NotImplemented
+
+    __radd__ = __add__
+
+    def __lt__(self, other):  # total_ordering derives <=, > and >= from < and ==
+        return False if isinstance(other, _VALUATION_TYPES) else NotImplemented
 
     def __repr__(self) -> str:
         return "INF"
 
 
 INF = _Infinity()
+_VALUATION_TYPES = (int, Fraction, _Infinity)
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
@@ -164,77 +184,28 @@ def prime_power_split(q: int):
     return p, f
 
 
-class Val:
-    """A valuation value: an exact rational or INF.
+class Val(Fraction):
+    """A finite valuation: a Fraction that answers `is_inf` and `as_fraction`
+    as INF does.  Val(INF) is INF; Val + rational is a Val, Val + INF is INF."""
 
-    Supports addition (INF absorbs) and total-order comparisons with INF
-    as the maximum.
-    """
+    __slots__ = ()
+    is_inf = False
 
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        if isinstance(value, Val):
-            value = value.value
-        if value is INF:
-            self.value = INF
-        else:
-            self.value = Fraction(value)
-
-    @property
-    def is_inf(self) -> bool:
-        return self.value is INF
+    def __new__(cls, value):
+        return INF if value is INF else super().__new__(cls, value)
 
     def as_fraction(self) -> Fraction:
-        if self.is_inf:
-            raise ValueError("infinite valuation has no rational value")
-        return self.value
+        return Fraction(self)
 
-    def __add__(self, other) -> "Val":
-        other = other if isinstance(other, Val) else Val(other)
-        if self.is_inf or other.is_inf:
-            return Val(INF)
-        return Val(self.value + other.value)
+    def __add__(self, other):
+        s = Fraction.__add__(self, other)
+        return s if s is NotImplemented else Val(s)
 
     __radd__ = __add__
 
-    def _cmp_key(self):
-        # (1, 0) dominates every (0, finite)
-        return (1, Fraction(0)) if self.is_inf else (0, self.value)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (Val, Fraction, int)) and other is not INF:
-            return NotImplemented
-        other = other if isinstance(other, Val) else Val(other)
-        return self._cmp_key() == other._cmp_key()
-
-    def __lt__(self, other) -> bool:
-        other = other if isinstance(other, Val) else Val(other)
-        return self._cmp_key() < other._cmp_key()
-
-    def __le__(self, other) -> bool:
-        other = other if isinstance(other, Val) else Val(other)
-        return self._cmp_key() <= other._cmp_key()
-
-    def __gt__(self, other) -> bool:
-        other = other if isinstance(other, Val) else Val(other)
-        return other < self
-
-    def __ge__(self, other) -> bool:
-        other = other if isinstance(other, Val) else Val(other)
-        return other <= self
-
-    def __hash__(self):
-        return hash(self._cmp_key())
-
-    def __repr__(self) -> str:
-        return "inf" if self.is_inf else str(self.value)
-
 
 def frac_json(x) -> dict:
-    """JSON encoding of a Fraction, Val or INF: {"num": a, "den": b} or {"inf": true}."""
-    if isinstance(x, Val):
-        x = x.value
+    """{"num": a, "den": b} for an int or Fraction (Val included), {"inf": true} for INF."""
     if x is INF:
         return {"inf": True}
     return {"num": x.numerator, "den": x.denominator}
@@ -318,9 +289,9 @@ class RamifiedElement:
             return 0
         return min((m * vp(a, p) + r for r, a in enumerate(self.coeffs) if a), default=None)
 
-    def valuation(self) -> Val:
+    def valuation(self):
         k = self.u_valuation()
-        return Val(INF) if k is None else Val(Fraction(k, self.ring.m))
+        return INF if k is None else Val(Fraction(k, self.ring.m))
 
     def __add__(self, other) -> "RamifiedElement":
         other = self._check(other)
@@ -506,10 +477,10 @@ class LaurentCoeff:
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    def valuation(self) -> Val:
+    def valuation(self):
         if self.is_zero:
-            return Val(INF)
-        return Val(self.pi_exp) + self.unit.valuation()
+            return INF
+        return self.pi_exp + self.unit.valuation()
 
     def __add__(self, other) -> "LaurentCoeff":
         if self.is_zero:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lubintate import building, periods, polygon, wittlab
+from lubintate import building, cells, periods, polygon, wittlab
 from lubintate.cli import _encode, main
 
 
@@ -624,6 +624,53 @@ def test_ball_budget_admits_the_pinned_and_guarded_balls(monkeypatch, n, p, radi
     monkeypatch.setattr(building, "out_edges", refuse)
     with pytest.raises(AssertionError, match="search started"):
         building.ball(building.standard_vertex(p, n), radius)
+
+
+# ---------------------------------------------------------------------
+# cells generators and polygon torsion budgets
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, i", [(100000, 1), (10 ** 4, 5000), (131, 1), (400, 2)])
+def test_oversized_cells_generators_exits_one_before_any_work(capsys, monkeypatch, n, i):
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cells, "integral_generators", refuse)
+    monkeypatch.setattr(cells, "saturation_check", refuse)
+    code = main(["cells", "generators", "--n", str(n), "--i", str(i)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: cells generators at n = {n}, i = {i} would visit more "
+                            f"than {cells.GENERATORS_WORK_BUDGET} saturation cells\n")
+
+
+def test_generators_budget_admits_every_tested_shape():
+    for n in range(2, 40):
+        for i in range(1, n):
+            cells.check_generators_budget(n, i)
+
+
+@pytest.mark.parametrize("n, q, vals, k", [
+    (3, 2, "1/2,1/3", 100000), (3, 2, "1/2,1/3", 608), (2, 3, "1/2", 10 ** 30),
+    (10, 2, "1/2,1/3,1/4,1/5,1/6,1/7,1/8,1/9,1/10", 200),
+])
+def test_oversized_torsion_exits_one_before_any_work(capsys, monkeypatch, n, q, vals, k):
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(polygon, "torsion_valuations", refuse)
+    code = main(["polygon", "--n", str(n), "--q", str(q), "--vals", vals, "--torsion", str(k)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: --torsion {k} at n = {n}, q = {q} would print more than "
+                            f"{polygon.TORSION_DIGIT_BUDGET} digits\n")
+
+
+def test_torsion_budget_admits_the_pinned_and_benchmark_profiles():
+    # the benchmark's polygon shapes at k <= 3, and the pinned k = 1 profiles
+    for n, q in ((4, 7), (5, 5), (6, 4), (7, 3), (8, 2), (9, 3), (10, 2), (2, 3), (4, 3)):
+        for k in (1, 2, 3):
+            polygon.check_torsion_budget(n, q, k)
 
 
 # ---------------------------------------------------------------------

@@ -289,10 +289,10 @@ def quasi_canonical(n, q, s):
 QUASI_CANONICAL_SHAPES = [(n, q) for n in (2, 3, 4) for q in (2, 3, 4, 5, 7, 9) if n < 4 or q <= 5]
 
 
-@settings(max_examples=120, deadline=None)  # the grid's 80 cases, each run once
-@given(shape=st.sampled_from(QUASI_CANONICAL_SHAPES), s=st.integers(1, 5))
-def test_quasi_canonical_orbit(shape, s):
-    n, q = shape
+# every shape at every level s <= 8: 128 cases
+@pytest.mark.parametrize("n, q, s", [(n, q, s) for n, q in QUASI_CANONICAL_SHAPES
+                                     for s in range(1, 9)])
+def test_quasi_canonical_orbit(n, q, s):
     poly = quasi_canonical(n, q, s)
     step = canonical_quotient(poly, n - 1)
     if s == 1:

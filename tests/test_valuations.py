@@ -39,6 +39,60 @@ def test_frac_json():
     assert frac_json(Val(INF)) == frac_json(INF) == {"inf": True}
 
 
+_RATIONALS = st.one_of(st.integers(-40, 40),
+                       st.fractions(min_value=-20, max_value=20, max_denominator=12))
+_VALUATIONS = st.one_of(_RATIONALS, _RATIONALS.map(Val), st.just(INF))
+
+
+def _key(x):
+    """Oracle: a valuation as a tuple, INF above every finite (0, value)."""
+    return (1, Fraction(0)) if x is INF else (0, Fraction(x))
+
+
+@given(a=_VALUATIONS, b=_VALUATIONS)
+def test_valuation_order_and_sum_match_the_key_model(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert (x < y) == (_key(x) < _key(y))
+        assert (x <= y) == (_key(x) <= _key(y))
+        assert (x > y) == (_key(x) > _key(y))
+        assert (x >= y) == (_key(x) >= _key(y))
+        assert (x == y) == (_key(x) == _key(y))
+        assert (x != y) == (_key(x) != _key(y))
+        if INF in (x, y):
+            assert x + y is INF
+        else:
+            assert x + y == Fraction(x) + Fraction(y)
+    total = Val(a) + b
+    if INF in (a, b):
+        assert total is INF
+    else:
+        assert type(total) is Val and total == Fraction(a) + Fraction(b)
+
+
+@given(xs=st.lists(_VALUATIONS, min_size=1, max_size=8))
+def test_sorted_and_max_of_mixed_valuations_follow_the_key_model(xs):
+    assert [_key(x) for x in sorted(xs)] == sorted(map(_key, xs))
+    assert _key(max(xs)) == max(map(_key, xs))
+    assert _key(min(xs)) == min(map(_key, xs))
+
+
+@given(x=_VALUATIONS)
+def test_val_is_a_fraction_and_val_of_inf_is_inf(x):
+    v = Val(x)
+    if x is INF:
+        assert v is INF and v.is_inf
+        assert frac_json(x) == {"inf": True}
+        with pytest.raises(ValueError):
+            v.as_fraction()
+        return
+    f = Fraction(x)
+    assert isinstance(v, Fraction) and not v.is_inf and v == f
+    assert hash(v) == hash(f)
+    assert type(v.as_fraction()) is Fraction and v.as_fraction() == f
+    assert str(v) == str(f)
+    assert frac_json(x) == frac_json(v) == {"num": f.numerator, "den": f.denominator}
+
+
 def test_vp():
     assert vp(0, 2) is None
     assert vp(12, 2) == 2 and vp(7, 2) == 0
