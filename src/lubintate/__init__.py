@@ -7,7 +7,7 @@ and symbolic Witt-vector identities.  No floats, no epsilons.
 
 Modules
 -------
-valuations : valuations (a Fraction or INF); truncated rings Q_p(p^(1/m))
+valuations : valuations (Fraction or INF); rings Q_p(p^(1/m)); m = 1 Laurent coefficients
 series     : sparse truncated multivariate series over Laurent coefficients
 periods    : crystalline period tuples of the universal deformation, two ways
 polygon    : Newton polygons of p-divisible groups, domains D and H

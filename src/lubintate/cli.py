@@ -17,13 +17,14 @@ and out-edges may need more than `building.BALL_WORK_BUDGET` neighbour
 lattices, `cells complex` a level its cells cannot glue at
 (`cells.check_level`), `periods` a depth past the budgets of
 `periods.check_budget`, `cells generators` an (n, i) past
-`cells.GENERATORS_WORK_BUDGET`, `polygon --torsion` a profile past
-`polygon.TORSION_DIGIT_BUDGET`, and `witt selftest` any `--q` entry that
-is not a prime power and a (max-n, q) past `wittlab.SELFTEST_MAX_Q`; all
-before any work starts.  So is an `--out` path whose directory is missing or
-that names a directory; one that still cannot be written exits 1 after
-the work.  The `--out` file is opened only once the output is complete,
-so a failed run leaves it as it was.
+`cells.GENERATORS_WORK_BUDGET`, `polygon` and `hecke` an (n, q) and
+`polygon --torsion` a profile past `polygon.TORSION_DIGIT_BUDGET`, and
+`witt selftest` any `--q` entry that is not a prime power and a (max-n, q)
+past `wittlab.SELFTEST_MAX_Q`; all before any work starts.  So is an
+`--out` path whose directory is missing or that names a directory; one
+that still cannot be written exits 1 after the work.  The `--out` file
+is opened only once the output is complete, so a failed run leaves it as
+it was.
 """
 
 from __future__ import annotations
@@ -164,6 +165,7 @@ def cmd_periods(args) -> int:
 
 
 def cmd_polygon(args) -> int:
+    polygon.check_polygon_budget(args.n, args.q)
     if args.torsion and args.format == "json":
         polygon.check_torsion_budget(args.n, args.q, args.torsion)
     if args.cm is not None:
@@ -189,6 +191,7 @@ def cmd_polygon(args) -> int:
 
 
 def cmd_hecke_quotient(args) -> int:
+    polygon.check_polygon_budget(args.n, args.q)
     poly = polygon.polygon_from_vals(args.n, args.q, _parse_vals(args.vals))
     step = hecke.canonical_quotient(poly, args.rank)
     _dump(args, {
@@ -202,6 +205,7 @@ def cmd_hecke_quotient(args) -> int:
 
 
 def cmd_hecke_reduce(args) -> int:
+    polygon.check_polygon_budget(args.n, args.q)
     poly = polygon.polygon_from_vals(args.n, args.q, _parse_vals(args.vals))
     res = hecke.reduce_to_domain(poly, budget=args.budget)
     _dump(args, {

@@ -181,9 +181,21 @@ def gh_boundary_polygon(n: int, q: int) -> NewtonPolygon:
     return cm_polygon(n, q, n)
 
 
-# digits that `polygon --torsion k` may print; n = 3, q = 2, k = 1000 (about
-# 2.7e6 by the estimate of check_torsion_budget) printed 2.0 MB
+# digits that one polygon, or `polygon --torsion k`, may print; n = 3, q = 2,
+# k = 1000 (about 2.7e6 by the estimate of check_torsion_budget) printed 2.0 MB
 TORSION_DIGIT_BUDGET = 10 ** 6
+
+
+def check_polygon_budget(n: int, q: int) -> None:
+    """Refuse, before any polygon work, an (n, q) whose polygon would print
+    more than about TORSION_DIGIT_BUDGET digits.
+
+    Its n + 1 vertex values alone, with numerators and denominators up to
+    q^n, print about 2 n^2 log10(q) digits.
+    """
+    if 2 * n ** 2 > TORSION_DIGIT_BUDGET / log10(q):
+        raise ValueError(f"a polygon at n = {n}, q = {q} would print more than "
+                         f"{TORSION_DIGIT_BUDGET} digits")
 
 
 def check_torsion_budget(n: int, q: int, k: int) -> None:

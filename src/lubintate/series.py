@@ -4,7 +4,7 @@ A TruncSeries in variables x_1, ..., x_nvars keeps only monomials whose
 exponent vector is < cap in EVERY coordinate; everything past the cap is
 dropped eagerly during arithmetic, so products of truncated series agree
 with truncations of full products.  Coefficients are LaurentCoeff values
-over one shared RamifiedRing.  Zero coefficients are never stored.
+over one unramified RamifiedRing.  Zero coefficients are never stored.
 """
 
 from __future__ import annotations
@@ -118,8 +118,7 @@ class TruncSeries:
         return TruncSeries._clean(self.ring, self.nvars, self.cap, out)
 
     def scale(self, coeff: LaurentCoeff) -> "TruncSeries":
-        # a product of unit parts can still vanish at precision N = 1
-        out = {e: d for e, c in self.coeffs.items() if not (d := c * coeff).is_zero}
+        out = {e: c * coeff for e, c in self.coeffs.items()} if coeff else {}
         return TruncSeries._clean(self.ring, self.nvars, self.cap, out)
 
     def mul_pi_power(self, e: int) -> "TruncSeries":

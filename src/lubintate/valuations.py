@@ -15,11 +15,12 @@ valuation of zero, which lies above every rational and absorbs `+`.
 Zero means "zero to working precision": `is_zero` holds and the
 valuation is INF rather than an error.
 
-Division by pi never widens the precision.  `LaurentCoeff` keeps a unit part
-together with an integer power of pi, so series coefficients like pi^(-2)*u
-stay exact.  Renormalization after cancellation trusts the digits above the
-cancelled range, so precision N should be chosen with headroom over the
-valuations one intends to read off.
+`LaurentCoeff`, the coefficient type of series, lives over m = 1, where
+pi = p: a unit of Z/p^N times an integer power of pi, so coefficients like
+pi^(-2)*3 stay exact and division by pi never widens the precision.  Its
+constructor refuses any other ring.  Renormalization after cancellation
+trusts the digits above the cancelled range, so precision N should be
+chosen with headroom over the valuations one intends to read off.
 
 `sum_terms` is the one helper that sums sparse (key, value) terms by key:
 series coefficients, Witt-law coefficients and valuation multisets.
@@ -291,7 +292,7 @@ class RamifiedElement:
 
     def valuation(self):
         k = self.u_valuation()
-        return INF if k is None else Val(Fraction(k, self.ring.m))
+        return INF if k is None else Fraction(k, self.ring.m)
 
     def __add__(self, other) -> "RamifiedElement":
         other = self._check(other)
@@ -339,21 +340,14 @@ class RamifiedElement:
         return result
 
     def inverse(self) -> "RamifiedElement":
-        """Unit inverse by Newton iteration b <- b(2 - ab); needs v(a) = 0."""
+        """a_0^(-1) mod p^N for a unit over an unramified ring, as series
+        coefficients are; m != 1 and a non-unit raise ValueError."""
         R = self.ring
+        if R.m != 1:
+            raise ValueError("inverse needs an unramified ring (m = 1)")
         if self.coeffs[0] % R.p == 0:
             raise ValueError("not a unit: valuation is positive (or infinite)")
-        # exact when m = 1; otherwise the error 1 - ab has valuation >= 1/m
-        b = R.from_int(pow(self.coeffs[0], -1, R.mod))
-        two = R.from_int(2)
-        one = R.one()
-        # the error valuation doubles each step
-        for _ in range((R.m * R.N).bit_length() + 2):
-            ab = self * b
-            if ab == one:
-                return b
-            b = b * (two - ab)
-        raise ArithmeticError("inverse iteration failed to converge")
+        return RamifiedElement(R, (pow(self.coeffs[0], -1, R.mod),))
 
     def shift_up(self, k: int) -> "RamifiedElement":
         """Multiply by u^k = p^(k // m) u^(k % m) (k >= 0); overflow falls off."""
@@ -368,23 +362,6 @@ class RamifiedElement:
             a = tuple(R.p * x for x in a[R.m - s:]) + a[: R.m - s]
         scale = pow(R.p, t, R.mod)
         return RamifiedElement(R, tuple(x * scale % R.mod for x in a))
-
-    def shift_down_exact(self, k: int) -> "RamifiedElement":
-        """Divide by u^k; the valuation must be at least k/m (exact division)."""
-        if k < 0:
-            raise ValueError("shift_down_exact needs k >= 0")
-        v = self.u_valuation()
-        if v is None:
-            return self
-        if v < k:
-            raise ValueError("inexact division by u^k")
-        R = self.ring
-        t, s = divmod(k, R.m)
-        pt = R.p ** t
-        a = tuple(x // pt for x in self.coeffs)
-        if s:
-            a = a[s:] + tuple(x // R.p for x in a[:s])
-        return RamifiedElement(R, a)
 
     def embed(self, target: RamifiedRing) -> "RamifiedElement":
         """Embed an m = 1 element into a ring with the same p.
@@ -433,27 +410,28 @@ class RamifiedElement:
 
 
 class LaurentCoeff:
-    """unit * pi^e with v(unit) in [0, 1) (zero has canonical e = 0).
+    """unit * pi^e over an unramified ring (zero has canonical e = 0).
 
     This is the coefficient type for truncated series: negative pi powers
-    are bookkept in `pi_exp`, never by widening the precision.  Addition
-    aligns at the smaller exponent; renormalization pulls full pi powers
-    out of the unit part.  Over unramified rings (m = 1) the unit part of
-    a nonzero coefficient always has valuation exactly 0.
+    are bookkept in `pi_exp`, never by widening the precision.  The ring
+    must have m = 1, so pi = p and the unit part of a nonzero coefficient
+    is an integer prime to p; the constructor pulls the p powers out of its
+    one coordinate, and addition aligns at the smaller exponent.
     """
 
     __slots__ = ("unit", "pi_exp", "is_zero")
 
     def __init__(self, unit: RamifiedElement, pi_exp: int = 0):
-        k = unit.u_valuation()
-        self.is_zero = k is None
-        if k is None:
-            self.unit = unit
-            self.pi_exp = 0
-            return
-        t = k // unit.ring.m
-        if t:
-            unit = unit.shift_down_exact(t * unit.ring.m)
+        R = unit.ring
+        if R.m != 1:
+            raise ValueError("series coefficients need an unramified ring (m = 1)")
+        (a,) = unit.coeffs
+        self.is_zero = not a
+        if not a:
+            pi_exp = 0
+        elif a % R.p == 0:
+            t = vp(a, R.p)
+            unit = RamifiedElement(R, (a // R.p ** t,))
             pi_exp += t
         self.unit = unit
         self.pi_exp = pi_exp
@@ -478,9 +456,7 @@ class LaurentCoeff:
         return not self.is_zero
 
     def valuation(self):
-        if self.is_zero:
-            return INF
-        return self.pi_exp + self.unit.valuation()
+        return INF if self.is_zero else self.pi_exp
 
     def __add__(self, other) -> "LaurentCoeff":
         if self.is_zero:
@@ -488,7 +464,7 @@ class LaurentCoeff:
         if other.is_zero:
             return self
         lo, hi = (self, other) if self.pi_exp <= other.pi_exp else (other, self)
-        aligned = hi.unit.shift_up((hi.pi_exp - lo.pi_exp) * lo.ring.m)
+        aligned = hi.unit.shift_up(hi.pi_exp - lo.pi_exp)
         return LaurentCoeff(lo.unit + aligned, lo.pi_exp)
 
     def __neg__(self) -> "LaurentCoeff":
@@ -500,12 +476,10 @@ class LaurentCoeff:
     def __mul__(self, other) -> "LaurentCoeff":
         if self.is_zero or other.is_zero:
             return LaurentCoeff.zero(self.ring)
-        unit = self.unit * other.unit
-        if unit.coeffs[0] % unit.ring.p == 0:  # the product may need renormalising
-            return LaurentCoeff(unit, self.pi_exp + other.pi_exp)
-        # a unit part of valuation 0 is already normal (always so when m = 1)
+        # a product of two units mod p^N is a unit, so it is already normal
         out = object.__new__(LaurentCoeff)
-        out.unit, out.pi_exp, out.is_zero = unit, self.pi_exp + other.pi_exp, False
+        out.unit, out.pi_exp, out.is_zero = (
+            self.unit * other.unit, self.pi_exp + other.pi_exp, False)
         return out
 
     def inverse(self) -> "LaurentCoeff":

@@ -666,6 +666,27 @@ def test_oversized_torsion_exits_one_before_any_work(capsys, monkeypatch, n, q, 
                             f"{polygon.TORSION_DIGIT_BUDGET} digits\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("polygon", "--n", "100000", "--q", "2", "--cm", "1"),
+    ("polygon", "--n", "1289", "--q", "2", "--vals", "1/2", "--format", "svg"),
+    ("polygon", "--n", "100000", "--q", "3", "--cm", "1", "--torsion", "1"),
+    ("hecke", "quotient", "--n", "100000", "--q", "3", "--vals", "1/2", "--rank", "1"),
+    ("hecke", "reduce", "--n", "5000", "--q", "2", "--vals", "1/2"),
+])
+def test_oversized_polygon_exits_one_before_any_work(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    for name in ("polygon_from_vals", "cm_polygon"):
+        monkeypatch.setattr(polygon, name, refuse)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    n, q = argv[argv.index("--n") + 1], argv[argv.index("--q") + 1]
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: a polygon at n = {n}, q = {q} would print more than "
+                            f"{polygon.TORSION_DIGIT_BUDGET} digits\n")
+
+
 def test_torsion_budget_admits_the_pinned_and_benchmark_profiles():
     # the benchmark's polygon shapes at k <= 3, and the pinned k = 1 profiles
     for n, q in ((4, 7), (5, 5), (6, 4), (7, 3), (8, 2), (9, 3), (10, 2), (2, 3), (4, 3)):

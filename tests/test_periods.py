@@ -229,7 +229,7 @@ def evaluate_by_term_powers(pt, coords, point_ring):
                     term = term * c ** e
             total = total + term
         v = total.valuation()
-        out.append((Val(e_min) + v, v.is_inf))
+        out.append((Val(e_min) + v, v is INF))
     return out
 
 
@@ -290,6 +290,16 @@ def test_period_series_rejects_bad_args():
         period_series(2, 6, 2)  # q must be a prime power
     with pytest.raises(ValueError):
         period_series(2, 3, 2, ring=RamifiedRing(2, 1, 8))  # ring prime mismatch
+
+
+def test_period_series_refuses_a_ramified_ring_before_any_series_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("series work started")
+
+    for name in ("__add__", "__mul__", "mul_pi_power"):
+        monkeypatch.setattr(TruncSeries, name, refuse)
+    with pytest.raises(ValueError, match=r"unramified ring \(m = 1\)"):
+        period_series(2, 2, 3, ring=RamifiedRing(2, 2, 16))
 
 
 def test_default_ring_follows_q():
