@@ -17,10 +17,11 @@ and out-edges may need more than `building.BALL_WORK_BUDGET` neighbour
 lattices, `cells complex` a level its cells cannot glue at
 (`cells.check_level`), `periods` a depth past the budgets of
 `periods.check_budget`, `cells generators` an (n, i) past
-`cells.GENERATORS_WORK_BUDGET`, `polygon` and `hecke` an (n, q) and
-`polygon --torsion` a profile past `polygon.TORSION_DIGIT_BUDGET`, and
-`witt selftest` any `--q` entry that is not a prime power and a (max-n, q)
-past `wittlab.SELFTEST_MAX_Q`; all before any work starts.  So is an
+`cells.GENERATORS_WORK_BUDGET`, `polygon` and `hecke` an (n, q),
+`hecke reduce` an (n, q, budget) and `polygon --torsion` a profile past
+`polygon.TORSION_DIGIT_BUDGET`, and `witt selftest` any `--q` entry that
+is not a prime power and a (max-n, q) past `wittlab.SELFTEST_MAX_Q`; all
+before any work starts.  So is an
 `--out` path whose directory is missing or that names a directory; one
 that still cannot be written exits 1 after the work.  The `--out` file
 is opened only once the output is complete, so a failed run leaves it as
@@ -205,7 +206,8 @@ def cmd_hecke_quotient(args) -> int:
 
 
 def cmd_hecke_reduce(args) -> int:
-    polygon.check_polygon_budget(args.n, args.q)
+    # the initial and final polygons, and a trail of at most budget + 1
+    polygon.check_polygon_budget(args.n, args.q, args.budget + 3)
     poly = polygon.polygon_from_vals(args.n, args.q, _parse_vals(args.vals))
     res = hecke.reduce_to_domain(poly, budget=args.budget)
     _dump(args, {

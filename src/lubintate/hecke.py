@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polygon import NewtonPolygon, in_gross_hopkins
-from .valuations import INF, sum_terms
+from .polygon import NewtonPolygon, in_gross_hopkins, profile
+from .valuations import INF
 
 
 class NonGenericCollision(ValueError):
@@ -57,8 +57,7 @@ def _division_profile(poly: NewtonPolygon, b: Fraction):
     top = max(descents)
     t = max(i for i, d in enumerate(descents) if d == top)
     roots = [(top, q ** t)]
-    for j in range(t + 1, poly.n + 1):
-        s, w = poly.slopes[j - 1], q ** j - q ** (j - 1)
+    for s, w in poly.strata[t:]:
         if s == roots[-1][0]:
             roots[-1] = (s, roots[-1][1] + w)
         else:
@@ -101,29 +100,25 @@ def canonical_quotient(poly: NewtonPolygon, i: int) -> IsogenyStep:
     lam_i = poly.slopes[i - 1]
     qi = q ** i
 
-    by_value = sum_terms((poly.slopes[j - 1], q ** j - q ** (j - 1)) for j in range(1, i + 1))
-    kernel = [(INF, 1)] + [(v, by_value[v]) for v in sorted(by_value, reverse=True)]
+    kernel = profile(poly.strata[:i])
 
-    pairs = []
-    # type A: surviving pi-torsion strata
-    for j in range(i + 1, n + 1):  # q^j - q^(j-1) = q^(j-1) (q - 1), and j > i
-        pairs.append((poly.slopes[j - 1] * qi, (q ** j - q ** (j - 1)) // qi))
+    # type A: surviving pi-torsion strata; q^j - q^(j-1) = q^(j-1) (q - 1), and j > i
+    pairs = [(s * qi, w // qi) for s, w in poly.strata[i:]]
 
     # type B: new torsion above each nonzero kernel point
-    for b, m_b in by_value.items():
+    for b, m_b in kernel:
         for r, w in _division_profile(poly, b):
             if not r < lam_i:
                 raise NonGenericCollision(
                     "division root value collides with the kernel stratum"
                 )
-            if (w * m_b) % qi:
-                raise NonGenericCollision("type B multiplicity not divisible by q^i")
+            # r < lambda_i puts the hull's join t at >= i, so q^i divides every width
             pairs.append((r * qi, (w * m_b) // qi))
 
-    values = tuple(sorted(sum_terms(pairs).items(), key=lambda t: t[0], reverse=True))
+    values = profile(pairs)
     # NewtonPolygon refuses an image profile whose total mass is not 1
     new_poly = _polygon_from_value_multiset(n, q, values)
-    return IsogenyStep(i, poly, new_poly, tuple(kernel), values)
+    return IsogenyStep(i, poly, new_poly, ((INF, 1),) + kernel, values)
 
 
 def boundary_quotient_profile(poly: NewtonPolygon, i: int):
@@ -136,12 +131,8 @@ def boundary_quotient_profile(poly: NewtonPolygon, i: int):
     if not in_gross_hopkins(poly):
         raise ValueError("closed form is only valid on the good domain")
     up, down = q ** i, q ** (n - i)
-    pairs = [(poly.slopes[j - 1] * up, (q ** j - q ** (j - 1)) // up)
-             for j in range(i + 1, n + 1)]
-    pairs += [(poly.slopes[j - 1] / down, (q ** j - q ** (j - 1)) * down)
-              for j in range(1, i + 1)]
-    out = sum_terms(pairs)
-    return tuple(sorted(out.items(), key=lambda t: t[0], reverse=True))
+    return profile([(s * up, w // up) for s, w in poly.strata[i:]]
+                   + [(s / down, w * down) for s, w in poly.strata[:i]])
 
 
 @dataclass(frozen=True)

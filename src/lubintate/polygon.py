@@ -26,7 +26,7 @@ from .valuations import INF, Val, frac_json, prime_power_split, sum_terms
 
 
 class NewtonPolygon:
-    __slots__ = ("n", "q", "slopes", "vertex_vals")
+    __slots__ = ("n", "q", "slopes", "strata", "vertex_vals")
 
     def __init__(self, n: int, q: int, slopes):
         if n < 1:
@@ -35,17 +35,16 @@ class NewtonPolygon:
         slopes = tuple(s if isinstance(s, Fraction) else Fraction(s) for s in slopes)
         if len(slopes) != n:
             raise ValueError("need exactly n slopes")
+        strata = tuple((s, q ** j - q ** (j - 1)) for j, s in enumerate(slopes, start=1))
         vv = [Fraction(1)]
-        width = 1
         prev = None
-        for s in slopes:
+        for s, width in strata:
             if s <= 0:
                 raise ValueError("slopes must be positive")
             if prev is not None and s > prev:
                 raise ValueError("slopes must be non-increasing")
             prev = s
-            vv.append(vv[-1] - s * (width * (q - 1)))
-            width *= q
+            vv.append(vv[-1] - s * width)
         if vv[-1] != 0:
             # mass sum (q^j - q^(j-1)) lambda_j differs from 1 exactly when
             # the right end misses zero
@@ -53,6 +52,7 @@ class NewtonPolygon:
         self.n = n
         self.q = q
         self.slopes = slopes
+        self.strata = strata
         self.vertex_vals = tuple(vv)
 
     def __eq__(self, other) -> bool:
@@ -78,6 +78,11 @@ class NewtonPolygon:
             "in_H": in_H(self),
             "boundary_indices": sorted(boundary_indices(self)),
         }
+
+
+def profile(pairs):
+    """Sum (value, multiplicity) pairs by value; sort by decreasing value."""
+    return tuple(sorted(sum_terms(pairs).items(), reverse=True))
 
 
 def _lower_hull(points):
@@ -186,15 +191,19 @@ def gh_boundary_polygon(n: int, q: int) -> NewtonPolygon:
 TORSION_DIGIT_BUDGET = 10 ** 6
 
 
-def check_polygon_budget(n: int, q: int) -> None:
-    """Refuse, before any polygon work, an (n, q) whose polygon would print
-    more than about TORSION_DIGIT_BUDGET digits.
+def check_polygon_budget(n: int, q: int, polygons: int = 1) -> None:
+    """Refuse, before any polygon work, an (n, q) whose polygon, or whose
+    `polygons` polygons together, would print more than about
+    TORSION_DIGIT_BUDGET digits.
 
     Its n + 1 vertex values alone, with numerators and denominators up to
-    q^n, print about 2 n^2 log10(q) digits.
+    q^n, print about 2 n^2 log10(q) digits.  `hecke reduce` prints one
+    trail polygon per quotient, so the count also bounds n^2 times its quotients.
     """
-    if 2 * n ** 2 > TORSION_DIGIT_BUDGET / log10(q):
-        raise ValueError(f"a polygon at n = {n}, q = {q} would print more than "
+    limit = TORSION_DIGIT_BUDGET / log10(q)
+    if 2 * n ** 2 * polygons > limit:
+        what = "a polygon" if 2 * n ** 2 > limit else f"{polygons} polygons"
+        raise ValueError(f"{what} at n = {n}, q = {q} would print more than "
                          f"{TORSION_DIGIT_BUDGET} digits")
 
 
@@ -223,12 +232,11 @@ def torsion_valuations(poly: NewtonPolygon, k: int):
     if not in_H(poly):
         raise ValueError("torsion profile formula requires the polygon in H")
     q, n = poly.q, poly.n
-    acc = sum_terms(
-        (lam / scale, (q ** j - q ** (j - 1)) * scale)
+    return list(profile(
+        (lam / scale, width * scale)
         for scale in (q ** (n * (m - 1)) for m in range(1, k + 1))
-        for j, lam in enumerate(poly.slopes, start=1)
-    )
-    return [(v, acc[v]) for v in sorted(acc, reverse=True)]
+        for lam, width in poly.strata
+    ))
 
 
 # ---------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import OrderedDict, defaultdict
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lubintate import building, cells, periods, polygon, wittlab
+from lubintate import building, cells, hecke, periods, polygon, wittlab
 from lubintate.cli import _encode, main
 
 
@@ -222,6 +223,23 @@ def test_cells_complex(capsys):
     lifted = run_json(capsys, "cells", "complex", "--n", "2", "--p", "3",
                       "--radius", "1", "--lift")
     assert (len(lifted["cells"]), len(lifted["edges"])) == (10, 8)
+
+
+@pytest.mark.parametrize("lift, counts", [((), (5, 4)), (("--lift",), (10, 8))])
+def test_cells_complex_dot_draws_the_json_cells_and_edges(capsys, lift, counts):
+    argv = ("cells", "complex", "--n", "2", "--p", "3", "--radius", "1", *lift)
+    d = run_json(capsys, *argv)
+    code, dot = run(capsys, *argv, "--format", "dot")
+    assert code == 0 and dot.startswith("digraph")
+    nodes = dict(re.findall(r'^  v(\d+) \[label="(.*)"\];$', dot, re.M))
+    arrows = re.findall(r'^  v(\d+) -> v(\d+) \[label="(\d+)"\];$', dot, re.M)
+    assert (len(nodes), len(arrows)) == (len(d["cells"]), len(d["edges"])) == counts
+    labels = [f"h={c['vertex']['h']} piv=[{','.join(map(str, c['vertex']['pivot_exponents']))}]"
+              for c in d["cells"]]
+    assert sorted(nodes.values()) == sorted(labels)
+    # each arrow joins the vertices of its edge's cells and is labelled by the edge's rank
+    drawn = sorted((nodes[a], nodes[b], int(rank)) for a, b, rank in arrows)
+    assert drawn == sorted((labels[e["a"]], labels[e["b"]], e["rank"]) for e in d["edges"])
 
 
 def test_cells_generators(capsys):
@@ -685,6 +703,31 @@ def test_oversized_polygon_exits_one_before_any_work(capsys, monkeypatch, argv):
     assert code == 1 and captured.out == ""
     assert captured.err == (f"error: a polygon at n = {n}, q = {q} would print more than "
                             f"{polygon.TORSION_DIGIT_BUDGET} digits\n")
+
+
+@pytest.mark.parametrize("n, budget, polygons", [(300, None, 35), (20, 10 ** 6, 10 ** 6 + 3)])
+def test_long_hecke_reduce_exits_one_before_any_quotient(capsys, monkeypatch, n, budget, polygons):
+    # budget + 3 polygons: the initial and the final one, and a trail of at most budget + 1
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(hecke, "canonical_quotient", refuse)
+    monkeypatch.setattr(polygon, "polygon_from_vals", refuse)
+    argv = ["hecke", "reduce", "--n", str(n), "--q", "2",
+            "--vals", ",".join(f"1/{k}" for k in range(2, n + 1))]
+    code = main(argv if budget is None else [*argv, "--budget", str(budget)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: {polygons} polygons at n = {n}, q = 2 would print more "
+                            f"than {polygon.TORSION_DIGIT_BUDGET} digits\n")
+
+
+def test_hecke_reduce_budget_admits_the_benchmark_shapes():
+    # the default budget of 32 quotients: 35 polygons
+    for n, q in ((4, 7), (5, 5), (6, 4), (7, 3), (8, 2), (9, 3), (10, 2), (217, 2)):
+        polygon.check_polygon_budget(n, q, 35)
+    with pytest.raises(ValueError, match="35 polygons at n = 218, q = 2"):
+        polygon.check_polygon_budget(218, 2, 35)
 
 
 def test_torsion_budget_admits_the_pinned_and_benchmark_profiles():

@@ -1,5 +1,6 @@
 """Newton polygon construction, closed-form extremes, and domain predicates."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from lubintate.polygon import (
     in_H,
     lambda_extremes,
     polygon_from_vals,
+    profile,
     torsion_valuations,
     vals_in_gross_hopkins,
 )
@@ -154,6 +156,18 @@ def test_torsion_valuations_counts():
         assert vals == sorted(vals, reverse=True)
     lvl1 = torsion_valuations(poly, 1)
     assert lvl1 == [(Val(Fraction(1, 4)), 2), (Val(Fraction(1, 12)), 6)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(st.sampled_from([Fraction(k, 6) for k in range(1, 9)]),
+                                st.integers(-3, 3)), max_size=12))
+def test_profile_matches_a_counter_oracle(pairs):
+    # few values and multiplicities of either sign, so sums merge and cancel
+    counts = Counter()
+    for v, m in pairs:
+        counts[v] += m
+    want = sorted(((v, m) for v, m in counts.items() if m), key=lambda t: t[0], reverse=True)
+    assert profile(pairs) == tuple(want)
 
 
 def test_torsion_valuations_requires_H():
