@@ -9,8 +9,9 @@ valuation profile of the pi-torsion in two ways:
           points of value q^i lambda_j, in fibers of size q^i;
   type B: a kernel point z of value b acquires new pi-torsion above it; the
           valuations of the q^n solutions of [pi](y) = z are read off the
-          lower hull of (0, b) and the source polygon's vertices, and each
-          solution maps to a point of value q^i times its own.
+          lower hull of (0, b) and the source polygon's vertices, one walk
+          of the descents (b - v_t)/q^t serving every b, and each solution
+          maps to a point of value q^i times its own.
 
 Genericity (every type-B root value strictly below lambda_i) is asserted,
 never assumed; ties raise NonGenericCollision.
@@ -21,7 +22,6 @@ All slope arithmetic is exact Fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .polygon import NewtonPolygon, in_gross_hopkins, profile
 from .valuations import INF
@@ -42,27 +42,6 @@ class IsogenyStep:
     image: NewtonPolygon
     kernel_values: tuple
     image_values: tuple
-
-
-def _division_profile(poly: NewtonPolygon, b: Fraction):
-    """Valuations of the q^n solutions of [pi](y) = z with v(z) = b.
-
-    The lower hull of (0, b) and the polygon's vertices (q^t, v_t) joins the
-    polygon at the last t maximising (b - v_t) / q^t and then follows its
-    slopes; a hull segment of width w and descent slope s contributes w
-    roots of valuation s.
-    """
-    q, vv = poly.q, poly.vertex_vals
-    descents = [(b - vv[t]) / q ** t for t in range(poly.n + 1)]
-    top = max(descents)
-    t = max(i for i, d in enumerate(descents) if d == top)
-    roots = [(top, q ** t)]
-    for s, w in poly.strata[t:]:
-        if s == roots[-1][0]:
-            roots[-1] = (s, roots[-1][1] + w)
-        else:
-            roots.append((s, w))
-    return roots
 
 
 def _polygon_from_value_multiset(n: int, q: int, values) -> NewtonPolygon:
@@ -102,18 +81,29 @@ def canonical_quotient(poly: NewtonPolygon, i: int) -> IsogenyStep:
 
     kernel = profile(poly.strata[:i])
 
-    # type A: surviving pi-torsion strata; q^j - q^(j-1) = q^(j-1) (q - 1), and j > i
-    pairs = [(s * qi, w // qi) for s, w in poly.strata[i:]]
-
-    # type B: new torsion above each nonzero kernel point
+    # type B: [pi](y) = z with v(z) = b has q^t roots of value d_t = (b - v_t)/q^t
+    # at the hull's join t, then w_j of value lambda_j for each j > t.  Since
+    # d_(t+1) - d_t = (1 - 1/q)(lambda_(t+1) - d_t), d rises while the next slope
+    # is >= d and falls strictly after, so the walk stops at the last maximiser; a
+    # smaller b stops no earlier, so the descending kernel values share one walk.
+    # d_t is the top root, and d_t < lambda_i forces t >= i, so q^i divides q^t.
+    slopes, vv = poly.slopes, poly.vertex_vals
+    pairs, joined, t = [], [0] * (n + 1), 0
     for b, m_b in kernel:
-        for r, w in _division_profile(poly, b):
-            if not r < lam_i:
-                raise NonGenericCollision(
-                    "division root value collides with the kernel stratum"
-                )
-            # r < lambda_i puts the hull's join t at >= i, so q^i divides every width
-            pairs.append((r * qi, (w * m_b) // qi))
+        d = (b - vv[t]) / q ** t
+        while t < n and slopes[t] >= d:
+            t += 1
+            d = (b - vv[t]) / q ** t
+        if not d < lam_i:
+            raise NonGenericCollision("division root value collides with the kernel stratum")
+        pairs.append((d * qi, q ** t * m_b // qi))
+        joined[t] += m_b
+
+    # type A (q^i divides w_j = q^(j-1) (q - 1) for j > i), plus type B past each join
+    run = 1
+    for joins, (s, w) in zip(joined[i:], poly.strata[i:]):
+        run += joins
+        pairs.append((s * qi, w * run // qi))
 
     values = profile(pairs)
     # NewtonPolygon refuses an image profile whose total mass is not 1

@@ -338,6 +338,7 @@ def test_large_prime_q_is_checked_without_trial_division(capsys):
      "cannot test 3317044064679887385961981 for primality: the limit is 3.3e24"),
     (("building", "--n", "2", "--p", "10000000000000000000000013"),
      "cannot test 10000000000000000000000013 for primality: the limit is 3.3e24"),
+    (("polygon", "--n", "2", "--q", "2"), "need --vals or --cm"),
 ])
 def test_bad_q_p_or_budget_exits_one_before_any_work(capsys, monkeypatch, argv, err):
     def refuse(*args, **kwargs):
@@ -388,6 +389,20 @@ def test_closed_pipe_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def test_pipe_closed_mid_output_exits_quietly():
+    # about 296 KB of JSON: the write blocks on a full pipe until the reader goes
+    with subprocess.Popen(
+        [sys.executable, "-m", "lubintate.cli", "cells", "complex", "--n", "3",
+         "--p", "2", "--radius", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1]
+    assert len(head) == 100
+    assert proc.returncode == 1 and err == b""
 
 
 @pytest.mark.parametrize("max_n", ("0", "-1"))

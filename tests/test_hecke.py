@@ -179,7 +179,7 @@ def test_boundary_profile_requires_domain():
 
 
 # ---------------------------------------------------------------------
-# hull oracle for the division profile
+# hull oracles for the division profile and the canonical quotient
 # ---------------------------------------------------------------------
 
 def division_profile_oracle(poly, b):
@@ -195,6 +195,59 @@ def division_profile_oracle(poly, b):
         if width:
             roots.append((slope, int(width)))
     return roots
+
+
+def division_profile(poly, b):
+    """Valuations of the q^n solutions of [pi](y) = z with v(z) = b.
+
+    The lower hull of (0, b) and the polygon's vertices (q^t, v_t) joins the
+    polygon at the last t maximising (b - v_t) / q^t and then follows its
+    slopes; a hull segment of width w and descent slope s contributes w
+    roots of valuation s.
+    """
+    q, vv = poly.q, poly.vertex_vals
+    descents = [(b - vv[t]) / q ** t for t in range(poly.n + 1)]
+    top = max(descents)
+    t = max(i for i, d in enumerate(descents) if d == top)
+    roots = [(top, q ** t)]
+    for s, w in poly.strata[t:]:
+        if s == roots[-1][0]:
+            roots[-1] = (s, roots[-1][1] + w)
+        else:
+            roots.append((s, w))
+    return roots
+
+
+def canonical_quotient_oracle(poly, i):
+    """canonical_quotient with one hull per kernel value, kept as the oracle."""
+    n, q = poly.n, poly.q
+    if not 1 <= i <= n - 1:
+        raise ValueError("canonical rank i must satisfy 1 <= i <= n-1")
+    if not poly.slopes[i - 1] > poly.slopes[i]:
+        raise NonGenericCollision(
+            f"no rupture at i={i}: lambda_{i} = lambda_{i+1}"
+        )
+    lam_i = poly.slopes[i - 1]
+    qi = q ** i
+
+    kernel = profile(poly.strata[:i])
+
+    # type A: surviving pi-torsion strata; q^j - q^(j-1) = q^(j-1) (q - 1), and j > i
+    pairs = [(s * qi, w // qi) for s, w in poly.strata[i:]]
+
+    # type B: new torsion above each nonzero kernel point
+    for b, m_b in kernel:
+        for r, w in division_profile(poly, b):
+            if not r < lam_i:
+                raise NonGenericCollision(
+                    "division root value collides with the kernel stratum"
+                )
+            # r < lambda_i puts the hull's join t at >= i, so q^i divides every width
+            pairs.append((r * qi, (w * m_b) // qi))
+
+    values = profile(pairs)
+    new_poly = hecke._polygon_from_value_multiset(n, q, values)
+    return hecke.IsogenyStep(i, poly, new_poly, ((INF, 1),) + kernel, values)
 
 
 _RATS = st.fractions(min_value=Fraction(1, 64), max_value=3, max_denominator=64)
@@ -213,7 +266,7 @@ def polygons(draw):
 def test_division_profile_matches_hull_oracle(poly, data):
     slope = st.sampled_from(poly.slopes)
     b = data.draw(st.one_of(slope, st.builds(lambda s, r: s * r, slope, _RATS), _RATS))
-    assert hecke._division_profile(poly, b) == division_profile_oracle(poly, b)
+    assert division_profile(poly, b) == division_profile_oracle(poly, b)
 
 
 def test_division_profile_matches_hull_oracle_on_cm_polygons():
@@ -225,7 +278,7 @@ def test_division_profile_matches_hull_oracle_on_cm_polygons():
                 poly = cm_polygon(n, q, e)
                 for b in set(poly.slopes) | fixed:
                     want = division_profile_oracle(poly, b)
-                    assert hecke._division_profile(poly, b) == want, (n, q, e, b)
+                    assert division_profile(poly, b) == want, (n, q, e, b)
 
 
 @settings(max_examples=300, deadline=None)
@@ -298,6 +351,29 @@ def test_value_multiset_matches_block_walk_oracle(poly, data):
     assert got == _outcome(_polygon_from_value_multiset_oracle, n, q, values)
     if values == tuple(sorted(by_value.items(), reverse=True)):
         assert got == poly
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly=polygons())
+# slopes (5/8, 1/8, 1/32): at rank 2 the top division root of b = 5/8 is 1/8,
+# a tie with lambda_2 that must raise
+@example(poly=polygon_from_vals(3, 2, [Fraction(3, 8), Fraction(1, 8)]))
+def test_canonical_quotient_matches_the_per_kernel_hull_oracle(poly):
+    # every rank, ruptures or not; collisions must raise with the same message
+    for i in range(1, poly.n):
+        got = _outcome(canonical_quotient, poly, i)
+        assert got == _outcome(canonical_quotient_oracle, poly, i), i
+
+
+def test_canonical_quotient_matches_the_oracle_on_cm_polygons():
+    # equal slopes inside a block: the hull follows them past the join
+    for n in range(2, 7):
+        for q in (2, 3, 4, 5, 7):
+            for e in (e for e in range(1, n + 1) if n % e == 0):
+                poly = cm_polygon(n, q, e)
+                for i in (i for i in range(1, n) if poly.slopes[i - 1] > poly.slopes[i]):
+                    want = _outcome(canonical_quotient_oracle, poly, i)
+                    assert _outcome(canonical_quotient, poly, i) == want, (n, q, e, i)
 
 
 def quasi_canonical(n, q, s):

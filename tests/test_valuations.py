@@ -182,6 +182,16 @@ def test_ring_requires_prime():
         RamifiedRing(1)
 
 
+def test_elements_refuse_an_int_or_another_rings_element():
+    a = RamifiedRing(2, 1, 10).from_int(3)
+    with pytest.raises(TypeError, match="expected a RamifiedElement"):
+        a * 2
+    # equal (p, m, N) interoperate; a different N does not
+    assert a + RamifiedRing(2, 1, 10).one() == a.ring.from_int(4)
+    with pytest.raises(ValueError, match="p, m, N must match"):
+        a + RamifiedRing(2, 1, 12).one()
+
+
 def test_unramified_digits_and_carry():
     R = RamifiedRing(2, 1, 12)
     a = R.from_int(12)
