@@ -7,8 +7,8 @@ and symbolic Witt-vector identities.  No floats, no epsilons.
 
 Modules
 -------
-valuations : valuations (Fraction or INF); rings Q_p(p^(1/m)); m = 1 Laurent coefficients
-series     : sparse truncated multivariate series over Laurent coefficients
+valuations : valuations (Fraction or INF); rings Q_p(p^(1/m)); Laurent coefficients, two ints
+series     : sparse truncated multivariate series over Laurent coefficients (unit, pi power)
 periods    : crystalline period tuples of the universal deformation, two ways
 polygon    : Newton polygons of p-divisible groups, domains D and H
 hecke      : canonical-subgroup quotients and reduction into the good domain

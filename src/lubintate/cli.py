@@ -51,7 +51,8 @@ def _parse(kind, text: str, what: str):
 
 
 def _parse_vals(text: str):
-    return [_parse(Fraction, piece, "rational") for piece in text.split(",")]
+    """The comma-separated rationals of text; "" is no rationals, as n = 1 takes."""
+    return [_parse(Fraction, piece, "rational") for piece in text.split(",")] if text else []
 
 
 def _value_mult_list(pairs):

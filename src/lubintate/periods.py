@@ -260,15 +260,15 @@ def _pi_span(*series_list) -> int:
         c.pi_exp
         for s in series_list
         for c in s.coeffs.values()
-        if not c.is_zero
     ]
     return -min(0, min(lows, default=0))
 
 
 def _agree_to(a: TruncSeries, b: TruncSeries, bound: int) -> bool:
     diff = a - b
+    # a stored coefficient is never zero, so its valuation is its pi exponent
     return all(
-        c.is_zero or c.valuation() >= bound for c in diff.coeffs.values()
+        c.pi_exp >= bound for c in diff.coeffs.values()
     )
 
 
@@ -338,6 +338,9 @@ def evaluate_periods(pt: PeriodTuple, coords, point_ring: RamifiedRing):
     """Substitute exact coordinates into each f_i.
 
     coords: one RamifiedElement of point_ring per variable x_1..x_{n-1}.
+    point_ring must have the series' prime p and at most its precision N,
+    since the series carries no digits past p^N; both are checked before
+    any term is built.
     Returns a list of (Val or INF, zero-to-precision flag) pairs.  The
     common power pi^(e_min) of each component is pulled out exactly, so a
     finite answer is exact; an all-zero digit sum reports (INF, True) rather
@@ -352,6 +355,12 @@ def evaluate_periods(pt: PeriodTuple, coords, point_ring: RamifiedRing):
     for c in coords:
         if c.ring != point_ring:
             raise ValueError("coordinates must live in point_ring")
+    ring = pt.f[0].ring
+    if point_ring.p != ring.p:
+        raise ValueError(f"point_ring has p = {point_ring.p}, but the series has p = {ring.p}")
+    if point_ring.N > ring.N:
+        raise ValueError(f"point_ring precision N = {point_ring.N} exceeds "
+                         f"the series precision N = {ring.N}")
     tables = [_power_table(c, {exps[i] for comp in pt.f for exps in comp.coeffs} - {0})
               for i, c in enumerate(coords)]
     out = []
@@ -362,8 +371,8 @@ def evaluate_periods(pt: PeriodTuple, coords, point_ring: RamifiedRing):
         e_min = comp.min_pi_exponent()
         total = point_ring.zero()
         for exps, coeff in comp.coeffs.items():
-            term = coeff.unit.embed(point_ring)
-            term = term.shift_up(point_ring.m * (coeff.pi_exp - e_min))
+            # pi^k = p^k = u^(m k) in point_ring
+            term = point_ring.from_int(coeff.unit * point_ring.p ** (coeff.pi_exp - e_min))
             for table, e in zip(tables, exps):
                 if e:
                     term = term * table[e]

@@ -3,8 +3,9 @@
 A TruncSeries in variables x_1, ..., x_nvars keeps only monomials whose
 exponent vector is < cap in EVERY coordinate; everything past the cap is
 dropped eagerly during arithmetic, so products of truncated series agree
-with truncations of full products.  Coefficients are LaurentCoeff values
-over one unramified RamifiedRing.  Zero coefficients are never stored.
+with truncations of full products.  Coefficients are LaurentCoeff values,
+a unit int mod p^N and a power of pi, over one unramified RamifiedRing.
+Zero coefficients are never stored.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class TruncSeries:
                 prev = out.get(tuple(map(sub, a, b)))
                 if prev is not None:
                     acc = acc + hb * prev
-            if not (g := neg_cinv * acc).is_zero:
+            if g := neg_cinv * acc:
                 out[a] = g
         return TruncSeries._clean(self.ring, self.nvars, cap, out)
 
@@ -205,7 +206,7 @@ class TruncSeries:
                 for k, e in enumerate(exps)
                 if e
             )
-            if c.pi_exp == 0 and c.unit == c.ring.one():
+            if c.pi_exp == 0 and c.unit == 1:
                 parts.append(mono or "1")
             else:
                 parts.append(f"({c!r})" + (f"*{mono}" if mono else ""))

@@ -16,11 +16,12 @@ Zero means "zero to working precision": `is_zero` holds and the
 valuation is INF rather than an error.
 
 `LaurentCoeff`, the coefficient type of series, lives over m = 1, where
-pi = p: a unit of Z/p^N times an integer power of pi, so coefficients like
-pi^(-2)*3 stay exact and division by pi never widens the precision.  Its
-constructor refuses any other ring.  Renormalization after cancellation
-trusts the digits above the cancelled range, so precision N should be
-chosen with headroom over the valuations one intends to read off.
+pi = p: two ints, a unit of Z/p^N (an int prime to p, or 0 for zero) and
+the integer power of pi it multiplies, so coefficients like pi^(-2)*3 stay
+exact and division by pi never widens the precision.  Its constructor
+refuses any other ring.  Renormalization after cancellation trusts the
+digits above the cancelled range, so precision N should be chosen with
+headroom over the valuations one intends to read off.
 
 `sum_terms` is the one helper that sums sparse (key, value) terms by key:
 series coefficients, Witt-law coefficients and valuation multisets.
@@ -349,34 +350,6 @@ class RamifiedElement:
             raise ValueError("not a unit: valuation is positive (or infinite)")
         return RamifiedElement(R, (pow(self.coeffs[0], -1, R.mod),))
 
-    def shift_up(self, k: int) -> "RamifiedElement":
-        """Multiply by u^k = p^(k // m) u^(k % m) (k >= 0); overflow falls off."""
-        if k < 0:
-            raise ValueError("shift_up needs k >= 0")
-        if k == 0:
-            return self
-        R = self.ring
-        t, s = divmod(k, R.m)
-        a = self.coeffs
-        if s:
-            a = tuple(R.p * x for x in a[R.m - s:]) + a[: R.m - s]
-        scale = pow(R.p, t, R.mod)
-        return RamifiedElement(R, tuple(x * scale % R.mod for x in a))
-
-    def embed(self, target: RamifiedRing) -> "RamifiedElement":
-        """Embed an m = 1 element into a ring with the same p.
-
-        The target precision must not exceed the source precision, since the
-        source carries no information past p^N.
-        """
-        if self.ring.m != 1:
-            raise ValueError("embed starts from an unramified element")
-        if target.p != self.ring.p:
-            raise ValueError("embedding requires equal residue characteristic")
-        if target.N > self.ring.N:
-            raise ValueError("target precision exceeds source precision")
-        return target.from_int(self.coeffs[0])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RamifiedElement)
@@ -410,99 +383,99 @@ class RamifiedElement:
 
 
 class LaurentCoeff:
-    """unit * pi^e over an unramified ring (zero has canonical e = 0).
+    """unit * pi^e over an unramified ring (zero has unit 0 and e = 0).
 
     This is the coefficient type for truncated series: negative pi powers
     are bookkept in `pi_exp`, never by widening the precision.  The ring
-    must have m = 1, so pi = p and the unit part of a nonzero coefficient
-    is an integer prime to p; the constructor pulls the p powers out of its
-    one coordinate, and addition aligns at the smaller exponent.
+    must have m = 1, so pi = p and `unit`, an int in [0, p^N), is prime to
+    p or is 0 for the zero coefficient; the constructor reduces its int mod
+    p^N and pulls the p powers out, and addition aligns at the smaller
+    exponent.
     """
 
-    __slots__ = ("unit", "pi_exp", "is_zero")
+    __slots__ = ("ring", "unit", "pi_exp")
 
-    def __init__(self, unit: RamifiedElement, pi_exp: int = 0):
-        R = unit.ring
-        if R.m != 1:
+    def __init__(self, ring: RamifiedRing, unit: int, pi_exp: int = 0):
+        if ring.m != 1:
             raise ValueError("series coefficients need an unramified ring (m = 1)")
-        (a,) = unit.coeffs
-        self.is_zero = not a
-        if not a:
+        unit %= ring.mod
+        if unit:
+            while unit % ring.p == 0:
+                unit //= ring.p
+                pi_exp += 1
+        else:
             pi_exp = 0
-        elif a % R.p == 0:
-            t = vp(a, R.p)
-            unit = RamifiedElement(R, (a // R.p ** t,))
-            pi_exp += t
+        self.ring = ring
         self.unit = unit
         self.pi_exp = pi_exp
 
     @classmethod
     def zero(cls, ring: RamifiedRing) -> "LaurentCoeff":
-        return cls(ring.zero())
+        return cls(ring, 0)
 
     @classmethod
     def one(cls, ring: RamifiedRing) -> "LaurentCoeff":
-        return cls(ring.one())
+        return cls(ring, 1)
 
     @classmethod
     def pi_power(cls, ring: RamifiedRing, e: int) -> "LaurentCoeff":
-        return cls(ring.one(), e)
+        return cls(ring, 1, e)
 
-    @property
-    def ring(self) -> RamifiedRing:
-        return self.unit.ring
+    def _with_unit(self, unit: int, pi_exp: int) -> "LaurentCoeff":
+        """unit * pi^pi_exp over this ring, for a unit already normal: prime
+        to p in [0, p^N), or 0 with pi_exp = 0."""
+        out = object.__new__(LaurentCoeff)
+        out.ring, out.unit, out.pi_exp = self.ring, unit, pi_exp
+        return out
 
     def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def valuation(self):
-        return INF if self.is_zero else self.pi_exp
+        return bool(self.unit)
 
     def __add__(self, other) -> "LaurentCoeff":
-        if self.is_zero:
+        if not self.unit:
             return other
-        if other.is_zero:
+        if not other.unit:
             return self
         lo, hi = (self, other) if self.pi_exp <= other.pi_exp else (other, self)
-        aligned = hi.unit.shift_up(hi.pi_exp - lo.pi_exp)
-        return LaurentCoeff(lo.unit + aligned, lo.pi_exp)
+        R = self.ring
+        aligned = hi.unit * pow(R.p, hi.pi_exp - lo.pi_exp, R.mod)
+        return LaurentCoeff(R, lo.unit + aligned, lo.pi_exp)
 
     def __neg__(self) -> "LaurentCoeff":
-        return LaurentCoeff(-self.unit, self.pi_exp)
+        return self._with_unit(-self.unit % self.ring.mod, self.pi_exp)
 
     def __sub__(self, other) -> "LaurentCoeff":
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentCoeff":
-        if self.is_zero or other.is_zero:
-            return LaurentCoeff.zero(self.ring)
         # a product of two units mod p^N is a unit, so it is already normal
-        out = object.__new__(LaurentCoeff)
-        out.unit, out.pi_exp, out.is_zero = (
-            self.unit * other.unit, self.pi_exp + other.pi_exp, False)
-        return out
+        unit = self.unit * other.unit % self.ring.mod
+        return self._with_unit(unit, self.pi_exp + other.pi_exp if unit else 0)
 
     def inverse(self) -> "LaurentCoeff":
-        if self.is_zero:
+        if not self.unit:
             raise ZeroDivisionError("inverse of zero coefficient")
-        return LaurentCoeff(self.unit.inverse(), -self.pi_exp)
+        (unit,) = self.ring.from_int(self.unit).inverse().coeffs
+        return self._with_unit(unit, -self.pi_exp)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LaurentCoeff)
+            and self.ring == other.ring
             and self.unit == other.unit
             and self.pi_exp == other.pi_exp
         )
 
     def __hash__(self):
-        return hash((self.unit, self.pi_exp))
+        return hash((self.ring, self.unit, self.pi_exp))
 
     def __repr__(self) -> str:
-        if self.is_zero:
+        if not self.unit:
             return "0"
+        unit = repr(self.ring.from_int(self.unit))
         if self.pi_exp == 0:
-            return repr(self.unit)
-        return f"pi^{self.pi_exp} * {self.unit!r}"
+            return unit
+        return f"pi^{self.pi_exp} * {unit}"
 
     def json_obj(self):
-        return {"pi_exp": self.pi_exp, "digits": self.unit.digit_string()}
+        return {"pi_exp": self.pi_exp, "digits": self.ring.from_int(self.unit).digit_string()}

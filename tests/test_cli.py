@@ -86,10 +86,17 @@ def test_periods_checks(capsys):
      "778d2af665d267c78a7792983ef0dbbcf880d92ceda86b99a1fd9793640ecb40"),
     (("--n", "2", "--q", "2", "--depth", "4", "--cf2"),
      "6946a53320764faa4853efec216bc452d9763806e8523f4fe655e83692175a82"),
+    (("--n", "2", "--q", "4", "--depth", "3", "--cf2"),
+     "1a567155c2812ae8c6d47d75542744681e761e41c378378a2e3795b45a926af6"),
+    (("--n", "2", "--q", "9", "--depth", "3", "--cf2"),
+     "63d9556453cda79dac704a620ad415a972268d6a77d507cc7e6d7029728a2dc7"),
+    (("--n", "2", "--q", "5", "--depth", "3", "--cf2"),
+     "42861ec76c96c434f0073dd69db74996e3d2c6655fcc6fbd9ab6b697997c9063"),
 ])
 def test_periods_output_is_pinned(capsys, argv, digest):
     # sha256 of stdout as printed by the digit-vector coefficient kernel (first
-    # two) and by the geometric-series inverse (the other cf2 cases)
+    # two), by the geometric-series inverse (the next two cf2 cases) and by
+    # the RamifiedElement-backed Laurent coefficients (q = 4, 9 and 5)
     code, out = run(capsys, "periods", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -276,6 +283,20 @@ def test_domain_error_exits_one(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_empty_vals_give_the_n_equals_one_polygon(capsys):
+    # n - 1 = 0 coordinate valuations: the polygon that --cm 1 prints
+    cm = run_json(capsys, "polygon", "--n", "1", "--q", "2", "--cm", "1")
+    assert run_json(capsys, "polygon", "--n", "1", "--q", "2", "--vals", "") == cm
+    d = run_json(capsys, "hecke", "reduce", "--n", "1", "--q", "2", "--vals", "")
+    poly = {k: v for k, v in cm.items() if k not in ("lambda_1", "lambda_n")}
+    assert d == {"initial": poly, "final": poly, "steps": [], "trail": [poly]}
+    # an empty piece after a comma is still no rational
+    code = main(["polygon", "--n", "2", "--q", "2", "--vals", "1/2,"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: bad rational ''\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -787,7 +808,8 @@ def test_oversized_periods_exit_one_before_any_series_work(capsys, monkeypatch, 
     # the pinned, bench and CI invocations
     (3, 2, 4, False), (2, 2, 10, False), (2, 3, 6, False), (3, 2, 6, False), (4, 2, 5, False),
     (3, 3, 4, False), (2, 2, 2, True), (2, 2, 3, True), (2, 3, 2, True), (2, 2, 4, True),
-    (2, 2, 5, True), (2, 2, 6, True),
+    (2, 2, 5, True), (2, 2, 6, True), (2, 4, 3, True), (2, 9, 3, True), (2, 5, 3, True),
+    (2, 9, 6, True),
     # the largest depths under the term budget, and the largest cf2 caps
     (2, 2, 23, False), (3, 2, 15, False), (4, 3, 14, False), (6, 2, 12, False),
     (2, 8, 6, True), (2, 16, 5, True), (2, 32, 4, True), (2, 2, 0, True),

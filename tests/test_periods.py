@@ -1,5 +1,6 @@
 """Period tuples from display matrices, and the isomorphism domains."""
 
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -18,7 +19,7 @@ from lubintate.periods import (
 )
 from lubintate.polygon import in_H, polygon_from_vals
 from lubintate.series import SeriesMatrix, TruncSeries
-from lubintate.valuations import INF, LaurentCoeff, RamifiedRing, Val
+from lubintate.valuations import INF, LaurentCoeff, RamifiedElement, RamifiedRing, Val
 
 
 def test_recurrence_equals_matrix_product():
@@ -196,7 +197,7 @@ def test_b_inverse_is_inverse():
 def test_evaluate_periods_exact_when_precision_suffices():
     pt = period_series(2, 2, 2, ring=RamifiedRing(2, 1, 24))
     point_ring = RamifiedRing(2, 2, 20)  # v(x) = 1/2 representable
-    vals = evaluate_periods(pt, [point_ring.one().shift_up(1)], point_ring)
+    vals = evaluate_periods(pt, [point_ring.from_digits([0, 1])], point_ring)  # x = u
     # f_0 = 1 + x^3/pi has valuation 0; f_1 = x has valuation 1/2
     (v0, flag0), (v1, flag1) = vals
     assert v0 == Fraction(0) and not flag0
@@ -214,6 +215,7 @@ def test_evaluate_periods_pinned_at_ramified_point():
 
 def evaluate_by_term_powers(pt, coords, point_ring):
     """Oracle: evaluate_periods raising each coordinate to c ** e for every term."""
+    p = point_ring.from_int(point_ring.p)
     out = []
     for comp in pt.f:
         if comp.is_zero:
@@ -222,8 +224,7 @@ def evaluate_by_term_powers(pt, coords, point_ring):
         e_min = comp.min_pi_exponent()
         total = point_ring.zero()
         for exps, coeff in comp.coeffs.items():
-            term = coeff.unit.embed(point_ring)
-            term = term.shift_up(point_ring.m * (coeff.pi_exp - e_min))
+            term = point_ring.from_int(coeff.unit) * p ** (coeff.pi_exp - e_min)
             for c, e in zip(coords, exps):
                 if e:
                     term = term * c ** e
@@ -231,6 +232,23 @@ def evaluate_by_term_powers(pt, coords, point_ring):
         v = total.valuation()
         out.append((Val(e_min) + v, v is INF))
     return out
+
+
+@pytest.mark.parametrize("point_ring, match", [
+    (RamifiedRing(3, 1, 10), "point_ring has p = 3, but the series has p = 2"),
+    (RamifiedRing(2, 2, 25), "point_ring precision N = 25 exceeds the series precision N = 24"),
+])
+def test_evaluate_periods_refuses_another_prime_or_more_precision(monkeypatch, point_ring, match):
+    # the series carries no digits past p^24, and its pi is the prime 2
+    pt = period_series(2, 2, 3, ring=RamifiedRing(2, 1, 24))
+    coords = [point_ring.from_digits([0, 1])]
+
+    def no_product(a, b):
+        raise AssertionError("a product was taken before the refusal")
+
+    monkeypatch.setattr(RamifiedElement, "__mul__", no_product)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        evaluate_periods(pt, coords, point_ring)
 
 
 @cache

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lubintate.series import SeriesMatrix, TruncSeries
-from lubintate.valuations import LaurentCoeff, RamifiedRing, Val
+from lubintate.valuations import LaurentCoeff, RamifiedRing
 
 
 def ring():
@@ -136,7 +136,7 @@ def geometric_inverse(f):
 
 
 def vanishes_below(s, N):
-    return all(c.valuation() >= Val(N) for c in s.coeffs.values())
+    return all(c.pi_exp >= N for c in s.coeffs.values())
 
 
 @st.composite
@@ -154,11 +154,11 @@ def unit_series(draw):
         st.tuples(digits.map(R.from_digits), st.integers(0, 2)),
         max_size=5,
     ))
-    coeffs = {e: LaurentCoeff(u, k) for e, (u, k) in terms.items()}
+    coeffs = {e: LaurentCoeff(R, u.coeffs[0], k) for e, (u, k) in terms.items()}
     c = draw(digits.map(R.from_digits))
     if c.coeffs[0] % R.p == 0:
         c = c + R.one()
-    coeffs[(0,) * nvars] = LaurentCoeff(c)
+    coeffs[(0,) * nvars] = LaurentCoeff(R, c.coeffs[0])
     return TruncSeries(R, nvars, cap, coeffs)
 
 
